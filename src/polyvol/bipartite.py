@@ -1,21 +1,27 @@
-"""Exact bipartite volumes by the order-cell permutation sum.
+"""Exact bipartite volumes by the order-cell sum.
 
 Sorting the side-V1 coordinates splits the cube into n! order cells; on
 each cell the integrand is a monomial whose exponents are the counts
 alpha_i of V2-vertices that first see a neighbor at sorted position i.
 Each cell then integrates to a product of reciprocals, and symmetric
 graphs collapse the sum to a single term times n!.
+
+The reciprocal at position i depends only on the set S of the first i
+vertices: it is 1/d(S) with d(S) = |S| + #{w in V2 : N(w) meets S}. So
+the n! terms fold into a recursion over subsets,
+f(S) = sum_{v in S} f(S - v) / d(S), with vol = f(V1).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from math import factorial
 
 from .errors import MethodNotApplicable, SizeError
 from .graphs import Graph, bipartition, strip_isolated, _bits
 
-MAX_PERM_SIDE = 10
+# the subset recursion visits 2^n sets of side V1; `auto` uses the same cap
+MAX_PERM_SIDE = 16
 
 
 @dataclass(frozen=True)
@@ -70,16 +76,44 @@ def _cell_product(alphas) -> Fraction:
 
 
 def perm_volume(b: BipartiteGraph) -> Fraction:
-    """Exact volume as the sum over all orderings of side V1."""
-    if b.n > MAX_PERM_SIDE:
+    """Exact volume as the order-cell sum, by the subset recursion run on
+    the integers g(S) = f(S) * d(S)!, which obey
+    g(S) = sum_v g(S - v) * (d(S) - 1)! / d(S - v)!; vol = g(V1) / d(V1)!.
+    """
+    n = b.n
+    if n > MAX_PERM_SIDE:
         raise SizeError(
-            f"side V1 has {b.n} vertices; the permutation sum is capped at "
+            f"side V1 has {n} vertices; the order-cell sum is capped at "
             f"{MAX_PERM_SIDE}"
         )
-    total = Fraction(0)
-    for sigma in permutations(range(b.n)):
-        total += _cell_product(alpha_profile(b, sigma))
-    return total
+    # reach[v]: v itself (bit v) and its V2-neighbors (bits n and up)
+    reach = [1 << v for v in range(n)]
+    for w, hood in enumerate(b.neighborhoods):
+        for v in hood:
+            reach[v] |= 1 << (n + w)
+    size = 1 << n
+    union = [0] * size
+    d = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        union[s] = union[s ^ low] | reach[low.bit_length() - 1]
+        d[s] = union[s].bit_count()
+    top = d[size - 1]
+    fact = [factorial(k) for k in range(top + 1)]
+    # ratio[a][c] = a! / c! for c <= a
+    ratio = [[fact[a] // fact[c] for c in range(a + 1)] for a in range(top + 1)]
+    g = [1] * size
+    for s in range(1, size):
+        row = ratio[d[s] - 1]
+        total = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            t = s ^ low
+            total += g[t] * row[d[t]]
+            rest ^= low
+        g[s] = total
+    return Fraction(g[size - 1], fact[top])
 
 
 def is_side_symmetric(b: BipartiteGraph) -> bool:

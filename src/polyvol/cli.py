@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from . import closed
-from .bipartite import from_graph, perm_volume, symmetric_volume
+from .bipartite import MAX_PERM_SIDE, from_graph, perm_volume, symmetric_volume
 from .ehrhart import ehrhart_fit, ehrhart_volume, hstar, lattice_count
 from .errors import MethodNotApplicable, ParameterError, PolyvolError
 from .graphs import (
@@ -24,16 +24,13 @@ from .graphs import (
 from .mc import mc_volume
 from .rational import approx_decimal, format_rational
 from .rvf import rvf_volume
-from .series import series_partial, series_tail_bound, series_target, trace_quadrature
+from .series import series_partial, series_target, trace_quadrature
 from .slices import (
     sliced_complete_bipartite,
     sliced_join,
     sliced_multiple,
     sliced_null,
 )
-
-_SMALL_PERM_SIDE = 8
-
 
 class _UsageError(Exception):
     pass
@@ -75,8 +72,11 @@ def _auto_method(spec, graph: Graph) -> str:
     if spec is not None and closed.has_closed_form(spec):
         return "closed"
     sides = bipartition(graph)
-    if sides is not None and min(len(sides[0]), len(sides[1])) <= _SMALL_PERM_SIDE:
-        return "perm"
+    if sides is not None:
+        # isolated vertices sit on side A; perm_volume strips them
+        isolated = sum(1 for row in graph.adj if not row)
+        if min(len(sides[0]) - isolated, len(sides[1])) <= MAX_PERM_SIDE:
+            return "perm"
     return "rvf"
 
 

@@ -21,8 +21,7 @@ class Graph:
     adj: tuple  # adj[i] = bitmask of neighbors of i
 
     def __post_init__(self):
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise ParameterError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ParameterError("adjacency length must equal vertex count")
         full = (1 << self.n) - 1
@@ -49,6 +48,11 @@ class Graph:
         return bool(self.adj[i] >> j & 1)
 
 
+def _check_vertex_count(n: int):
+    if n < 0 or n > MAX_VERTICES:
+        raise ParameterError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -58,6 +62,7 @@ def _bits(mask: int):
 
 def from_edges(n: int, edges) -> Graph:
     """Graph on n labeled vertices from an iterable of (u, v) pairs."""
+    _check_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -184,7 +189,11 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Materialize a FamilySpec as a Graph; validates parameter ranges."""
+    """Materialize a FamilySpec as a Graph; validates parameter ranges.
+
+    Edges are generated lazily, so from_edges rejects an oversized vertex
+    count before any of them is built.
+    """
     kind = spec.kind
     if kind == "null":
         (n,) = spec.args
@@ -193,25 +202,25 @@ def build_family(spec: FamilySpec) -> Graph:
     if kind == "path":
         (n,) = spec.args
         _require(n >= 0, "path needs n >= 0")
-        return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if kind == "cycle":
         (n,) = spec.args
         _require(n >= 3, "cycle needs n >= 3")
-        return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
     if kind == "complete":
         (n,) = spec.args
         _require(n >= 1, "complete graph needs n >= 1")
-        return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "kbip":
         m, n = spec.args
         _require(m >= 1 and n >= 1, "complete bipartite needs m, n >= 1")
-        return from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+        return from_edges(m + n, ((i, m + j) for i in range(m) for j in range(n)))
     if kind == "bn":
         (n,) = spec.args
         _require(n >= 2, "bn needs n >= 2")
         # K_{n,n} minus the identity perfect matching
         return from_edges(
-            2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j]
+            2 * n, ((i, n + j) for i in range(n) for j in range(n) if i != j)
         )
     if kind == "join":
         a, b = spec.children

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb
@@ -10,6 +11,7 @@ from polyvol import (
     MethodNotApplicable,
     SizeError,
     alpha_profile,
+    from_edges,
     from_graph,
     graph_from_dsl,
     is_side_symmetric,
@@ -17,6 +19,29 @@ from polyvol import (
     rvf_volume,
     symmetric_volume,
 )
+from polyvol.bipartite import MAX_PERM_SIDE, _cell_product
+
+
+def perm_sum_oracle(b: BipartiteGraph) -> F:
+    """The paper's order-cell sum, term by term over all n! orderings."""
+    total = F(0)
+    for sigma in permutations(range(b.n)):
+        total += _cell_product(alpha_profile(b, sigma))
+    return total
+
+
+def small_side_corpus(count=30, seed=29):
+    """Random bipartite graphs whose side V1 has at most 8 vertices; most
+    are small so that the n!-term oracle and rvf stay cheap."""
+    rng = random.Random(corpus_util.MASTER_SEED + seed)
+    out = []
+    for k in range(count):
+        a = 8 if k == 0 else 7 if k == 1 else rng.randint(1, 6)
+        b = rng.randint(a, max(a, 14 - a))
+        p = rng.choice((0.3, 0.5, 0.8))
+        edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
+        out.append(from_edges(a + b, edges))
+    return out
 
 
 def test_from_graph_kbip23():
@@ -79,7 +104,7 @@ def test_perm_volume_examples():
 
 def test_perm_volume_size_guard():
     with pytest.raises(SizeError):
-        perm_volume(BipartiteGraph(11, (frozenset({0}),)))
+        perm_volume(BipartiteGraph(MAX_PERM_SIDE + 1, (frozenset({0}),)))
 
 
 def test_side_symmetry_examples():
@@ -109,7 +134,7 @@ def test_symmetry_implies_constant_alpha_and_agreement():
 
 
 def test_bn_closed_form():
-    for n in range(2, 7):
+    for n in range(2, MAX_PERM_SIDE + 1):
         b = from_graph(graph_from_dsl(f"bn:{n}"))
         assert perm_volume(b) == (1 + F(1, n)) / comb(2 * n, n)
 
@@ -119,3 +144,10 @@ def test_perm_agrees_with_rvf_on_corpus():
     graphs += corpus_util.bipartite_corpus_upto(total=10, count=10)
     for g in graphs:
         assert perm_volume(from_graph(g)) == rvf_volume(g)
+
+
+def test_subset_recursion_matches_permutation_sum_and_rvf():
+    for g in small_side_corpus():
+        b = from_graph(g)
+        assert b.n <= 8
+        assert perm_volume(b) == perm_sum_oracle(b) == rvf_volume(g), g.edges()

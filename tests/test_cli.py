@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
-from polyvol.cli import main
+from polyvol import from_edges
+from polyvol.bipartite import MAX_PERM_SIDE
+from polyvol.cli import _auto_method, main
 
 
 def run(capsys, *argv):
@@ -126,3 +129,31 @@ def test_auto_falls_back_to_rvf(capsys):
     # wheel-ish graph: not a family, not bipartite
     code, out, _ = run(capsys, "volume", "edges:4:0-1,1-2,0-2,0-3,1-3,2-3")
     assert code == 0 and out == "1/8 (≈ 0.125000)"
+
+
+def test_auto_uses_perm_up_to_the_side_cap():
+    def star_forest(small):
+        # each small-side vertex gets two private leaves
+        edges = [(i, small + 2 * i + k) for i in range(small) for k in range(2)]
+        return from_edges(3 * small, edges)
+
+    assert _auto_method(None, star_forest(MAX_PERM_SIDE)) == "perm"
+    assert _auto_method(None, star_forest(MAX_PERM_SIDE + 1)) == "rvf"
+
+
+def test_auto_ignores_isolated_vertices_when_sizing_the_small_side(capsys):
+    # K(2,17) plus 15 isolated vertices: too big for rvf, fine for perm
+    pairs = ",".join(f"{i}-{2 + j}" for i in range(2) for j in range(17))
+    code, out, _ = run(capsys, "volume", f"edges:34:{pairs}")
+    assert code == 0 and out.startswith("1/171 ")
+
+
+def test_huge_vertex_count_fails_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["volume", "null:10000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "outside 0..63" in capsys.readouterr().err
+    assert peak < 1 << 20
