@@ -77,9 +77,8 @@ def _cell_product(alphas) -> Fraction:
 
 def perm_volume(b: BipartiteGraph) -> Fraction:
     """Exact volume as the order-cell sum, by the subset recursion run on
-    the integers g(S) = f(S) * d(S)!, which obey
-    g(S) = sum_v g(S - v) * (d(S) - 1)! / d(S - v)!; vol = g(V1) / d(V1)!.
-    """
+    the integers h(S) = N! f(S), N = d(V1): each chain term is 1 over a
+    product of distinct d-values <= N, so every division below is exact."""
     n = b.n
     if n > MAX_PERM_SIDE:
         raise SizeError(
@@ -93,27 +92,19 @@ def perm_volume(b: BipartiteGraph) -> Fraction:
             reach[v] |= 1 << (n + w)
     size = 1 << n
     union = [0] * size
-    d = [0] * size
+    scale = factorial(n + len(b.neighborhoods))
+    h = [scale] * size
     for s in range(1, size):
         low = s & -s
         union[s] = union[s ^ low] | reach[low.bit_length() - 1]
-        d[s] = union[s].bit_count()
-    top = d[size - 1]
-    fact = [factorial(k) for k in range(top + 1)]
-    # ratio[a][c] = a! / c! for c <= a
-    ratio = [[fact[a] // fact[c] for c in range(a + 1)] for a in range(top + 1)]
-    g = [1] * size
-    for s in range(1, size):
-        row = ratio[d[s] - 1]
         total = 0
         rest = s
         while rest:
             low = rest & -rest
-            t = s ^ low
-            total += g[t] * row[d[t]]
+            total += h[s ^ low]
             rest ^= low
-        g[s] = total
-    return Fraction(g[size - 1], fact[top])
+        h[s] = total // union[s].bit_count()
+    return Fraction(h[size - 1], scale)
 
 
 def is_side_symmetric(b: BipartiteGraph) -> bool:

@@ -16,7 +16,7 @@ from .errors import MethodNotApplicable, ParameterError, PolyvolError
 from .graphs import (
     FamilySpec,
     Graph,
-    bipartition,
+    bipartition,  # unused here, but bench/pvbench/tracing.py wraps cli.bipartition
     build_family,
     load_edge_list,
     parse_spec,
@@ -71,13 +71,11 @@ def _auto_method(spec, graph: Graph) -> str:
         return "rvf"  # trivial and exact
     if spec is not None and closed.has_closed_form(spec):
         return "closed"
-    sides = bipartition(graph)
-    if sides is not None:
-        # isolated vertices sit on side A; perm_volume strips them
-        isolated = sum(1 for row in graph.adj if not row)
-        if min(len(sides[0]) - isolated, len(sides[1])) <= MAX_PERM_SIDE:
-            return "perm"
-    return "rvf"
+    try:
+        b = from_graph(graph)
+    except MethodNotApplicable:
+        return "rvf"
+    return "perm" if b.n <= MAX_PERM_SIDE else "rvf"
 
 
 def _exact_volume(method: str, spec, graph: Graph) -> Fraction:
