@@ -10,60 +10,110 @@ coefficient then carries an extra factor 2^n.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import MethodNotApplicable, ParameterError, SizeError
 from .graphs import Graph, bipartition, connected_components, strip_isolated, _bits
 from .poly import Polynomial, interpolate
 
-MAX_FIT_N = 7
+MAX_FIT_N = 10
+# Value iterations one lattice_count call may spend in the frontier DP:
+# each new memo entry adds b0 + 1, the number of values of its vertex.
+MAX_COUNT_WORK = 10_000_000
 
 
 def lattice_count(g: Graph, t: int) -> int:
-    """Number of integer vectors in [0,t]^n with x_i + x_j <= t per edge."""
+    """Number of integer vectors in [0,t]^n with x_i + x_j <= t per edge.
+
+    Raises SizeError when the count needs more than MAX_COUNT_WORK value
+    iterations.
+    """
     if t < 0:
         raise ParameterError("dilation factor must be >= 0")
     stripped, isolated = strip_isolated(g)
     total = (t + 1) ** isolated
+    work_left = MAX_COUNT_WORK
     for comp in connected_components(stripped):
-        total *= _count_connected(comp, t)
+        count, work_left = _count_connected(comp, t, work_left)
+        total *= count
     return total
 
 
-def _count_connected(g: Graph, t: int) -> int:
-    # Order vertices so each one is adjacent to the placed prefix,
-    # preferring many placed neighbors: maximizes pruning.
+def _vertex_order(g: Graph) -> list:
+    """Greedy order that keeps few distinct bounds among the unplaced vertices.
+
+    An unplaced vertex u is bounded by t - max(values on N(u) & placed), so
+    unplaced vertices with the same placed neighbourhood share one bound.
+    Each step places the vertex that leaves the fewest such neighbourhoods,
+    then the fewest unplaced vertices with a placed neighbour.
+    """
     order = []
     placed = 0
+
+    def cost(v):
+        now = placed | 1 << v
+        touched = [
+            g.adj[u] & now for u in range(g.n) if g.adj[u] & now and not now >> u & 1
+        ]
+        ties = (-(g.adj[v] & placed).bit_count(), -g.degree(v), v)
+        return (len(set(touched)), len(touched), *ties)
+
     for _ in range(g.n):
-        best = max(
-            (v for v in range(g.n) if not placed >> v & 1),
-            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
-        )
+        best = min((v for v in range(g.n) if not placed >> v & 1), key=cost)
         order.append(best)
         placed |= 1 << best
-    earlier = [
-        [order.index(u) for u in _bits(g.adj[v]) if u in order[:pos]]
-        for pos, v in enumerate(order)
-    ]
-    last = g.n - 1
-    values = [0] * g.n
+    return order
 
-    def count_from(pos: int) -> int:
-        bound = t
-        for j in earlier[pos]:
-            bound = min(bound, t - values[j])
-        if bound < 0:
-            return 0
-        if pos == last:
-            return bound + 1
-        total = 0
-        for v in range(bound + 1):
-            values[pos] = v
-            total += count_from(pos + 1)
+
+def _count_connected(g: Graph, t: int, work_left: int) -> tuple:
+    """(count, work left) by a memoized DP along `_vertex_order`.
+
+    The state at position i is the tuple of bounds of the vertices at
+    positions i..n-1, each t minus the largest value on its placed
+    neighbours. The values of vertex i that cap none of its later
+    neighbours all lead to the same child state and are counted at once;
+    a tail that induces no edge is the product of (bound + 1).
+    """
+    n = g.n
+    order = _vertex_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    # later[i]: the later neighbours of position i, as indices into state[1:]
+    later = [
+        tuple(pos[u] - i - 1 for u in _bits(g.adj[v]) if pos[u] > i)
+        for i, v in enumerate(order)
+    ]
+    edgeless = [not any(later[i:]) for i in range(n + 1)]
+    memo = {}
+
+    def count(state):
+        nonlocal work_left
+        i = n - len(state)
+        if edgeless[i]:
+            return prod(b + 1 for b in state)
+        total = memo.get(state)
+        if total is not None:
+            return total
+        b0, rest = state[0], state[1:]
+        work_left -= b0 + 1
+        if work_left < 0:
+            raise SizeError(
+                f"counting at t={t} needs more than MAX_COUNT_WORK = "
+                f"{MAX_COUNT_WORK} value iterations"
+            )
+        nb = later[i]
+        free = min(b0, t - max((rest[j] for j in nb), default=0))
+        total = (free + 1) * count(rest)
+        child = list(rest)
+        for v in range(free + 1, b0 + 1):
+            cap = t - v
+            for j in nb:
+                if child[j] > cap:
+                    child[j] = cap
+            total += count(tuple(child))
+        memo[state] = total
         return total
 
-    return count_from(0)
+    return count((t,) * n), work_left
 
 
 @dataclass(frozen=True)

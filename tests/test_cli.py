@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -53,6 +54,14 @@ def test_volume_mc(capsys):
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "cycle:3", "2")
     assert code == 0 and out == "11"
+
+
+def test_count_over_the_work_budget_fails_fast(capsys):
+    # the points of path:30 at t = 10^6 are far too many to visit one by one
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", "path:30", "1000000")
+    assert code == 1 and "MAX_COUNT_WORK" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_sliced(capsys):

@@ -9,6 +9,7 @@ from polyvol import (
     MethodNotApplicable,
     Polynomial,
     SizeError,
+    connected_components,
     ehrhart_fit,
     ehrhart_volume,
     from_edges,
@@ -17,7 +18,48 @@ from polyvol import (
     hstar_volume,
     lattice_count,
     rvf_volume,
+    strip_isolated,
 )
+from polyvol.ehrhart import MAX_FIT_N
+from polyvol.graphs import _bits
+
+
+def enumerate_count_oracle(g, t):
+    """lattice_count by visiting every lattice point, one vertex at a time:
+    each vertex takes every value up to t minus its placed neighbours'
+    largest value, and only the last vertex's values are counted at once."""
+    if g.n == 0:
+        return 1
+    # place each vertex next to as many placed ones as possible
+    order = []
+    placed = 0
+    for _ in range(g.n):
+        best = max(
+            (v for v in range(g.n) if not placed >> v & 1),
+            key=lambda v: ((g.adj[v] & placed).bit_count(), g.degree(v), -v),
+        )
+        order.append(best)
+        placed |= 1 << best
+    earlier = [
+        [order.index(u) for u in _bits(g.adj[v]) if u in order[:pos]]
+        for pos, v in enumerate(order)
+    ]
+    last = g.n - 1
+    values = [0] * g.n
+
+    def count_from(pos):
+        bound = t
+        for j in earlier[pos]:
+            bound = min(bound, t - values[j])
+        if pos == last:
+            return bound + 1
+        total = 0
+        for v in range(bound + 1):
+            values[pos] = v
+            total += count_from(pos + 1)
+        return total
+
+    return count_from(0)
 
 
 def test_count_examples():
@@ -45,6 +87,39 @@ def test_count_brute_force_cross_check():
                 if all(point[u] + point[v] <= t for u, v in g.edges())
             )
             assert lattice_count(g, t) == brute
+
+
+def oracle_corpus():
+    """60 seeded graphs with n <= 7, sparse ones (isolated vertices, several
+    components) through dense ones."""
+    rng = random.Random(corpus_util.MASTER_SEED + 5)
+    densities = (0.15, 0.35, 0.6, 0.85)
+    return [
+        corpus_util.random_graph(rng, rng.randint(0, 7), p=rng.choice(densities))
+        for _ in range(60)
+    ]
+
+
+def test_count_matches_enumeration_oracle():
+    graphs = oracle_corpus()
+    assert any(strip_isolated(g)[1] for g in graphs)
+    assert any(len(connected_components(strip_isolated(g)[0])) > 1 for g in graphs)
+    for g in graphs:
+        for t in (0, 1, 2, 5, 9):
+            assert lattice_count(g, t) == enumerate_count_oracle(g, t), (g, t)
+
+
+def test_count_closed_forms_at_large_t():
+    for t in (0, 1, 7, 50, 200):
+        for n in (1, 4, 9):
+            assert lattice_count(graph_from_dsl(f"null:{n}"), t) == (t + 1) ** n
+        for m in (1, 3, 6):
+            star = sum((t - v + 1) ** m for v in range(t + 1))
+            assert lattice_count(graph_from_dsl(f"kbip:1,{m}"), t) == star
+        for n in (2, 3, 5, 8):
+            one_high = sum((t - v + 1) ** (n - 1) for v in range(t // 2 + 1, t + 1))
+            want = (t // 2 + 1) ** n + n * one_high
+            assert lattice_count(graph_from_dsl(f"complete:{n}"), t) == want
 
 
 def test_count_invariant_under_relabeling():
@@ -114,15 +189,24 @@ def test_hstar_rejects_non_bipartite():
 
 
 def test_size_guards():
+    too_big = graph_from_dsl(f"path:{MAX_FIT_N + 1}")
     with pytest.raises(SizeError):
-        ehrhart_fit(graph_from_dsl("path:8"))
+        ehrhart_fit(too_big)
     with pytest.raises(SizeError):
-        hstar(graph_from_dsl("path:8"))
+        hstar(too_big)
 
 
 def test_agreement_with_rvf_small_corpus():
     graphs = corpus_util.corpus(want_bipartite=True, count=6)
     graphs += corpus_util.corpus(want_bipartite=False, count=6)
+    for g in graphs:
+        assert ehrhart_volume(g) == rvf_volume(g)
+
+
+def test_agreement_with_rvf_up_to_the_fit_cap():
+    rng = random.Random(corpus_util.MASTER_SEED + 6)
+    graphs = [graph_from_dsl(dsl) for dsl in ("cycle:9", "kbip:4,5", "bn:5")]
+    graphs += [corpus_util.random_graph(rng, n, p=0.4) for n in (9, MAX_FIT_N)]
     for g in graphs:
         assert ehrhart_volume(g) == rvf_volume(g)
 
