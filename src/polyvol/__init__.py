@@ -36,7 +36,6 @@ from .graphs import (
     bipartition,
     build_family,
     connected_components,
-    delete_vertex,
     from_edges,
     graph_from_dsl,
     join_graphs,
@@ -46,7 +45,7 @@ from .graphs import (
 )
 from .mc import mc_volume
 from .poly import Polynomial, interpolate
-from .rational import Rational, format_rational
+from .rational import format_rational
 from .rvf import rvf_volume
 from .series import eigen_residual, series_partial, series_target, trace_quadrature
 from .slices import (
@@ -58,4 +57,17 @@ from .slices import (
     sliced_null,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BipartiteGraph", "alpha_profile", "from_graph", "is_side_symmetric",
+    "perm_volume", "symmetric_volume", "altsum_identity", "euler_numbers",
+    "family_volume", "path_generating_coefficients", "EhrhartFit", "HStar",
+    "ehrhart_fit", "ehrhart_volume", "hstar", "hstar_volume", "lattice_count",
+    "DSLError", "MethodNotApplicable", "ParameterError", "PolyvolError",
+    "SizeError", "FamilySpec", "Graph", "bipartition", "build_family",
+    "connected_components", "from_edges", "graph_from_dsl", "join_graphs",
+    "load_edge_list", "parse_spec", "strip_isolated", "mc_volume",
+    "Polynomial", "interpolate", "format_rational", "rvf_volume",
+    "eigen_residual", "series_partial", "series_target", "trace_quadrature",
+    "SlicedVolume", "sliced_complete_bipartite", "sliced_eval", "sliced_join",
+    "sliced_multiple", "sliced_null",
+]

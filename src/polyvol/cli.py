@@ -10,9 +10,9 @@ import sys
 from fractions import Fraction
 
 from . import closed
-from .bipartite import MAX_PERM_SIDE, from_graph, perm_volume, symmetric_volume
+from .bipartite import from_graph, perm_volume, symmetric_volume
 from .ehrhart import ehrhart_fit, ehrhart_volume, hstar, lattice_count
-from .errors import MethodNotApplicable, ParameterError, PolyvolError
+from .errors import MethodNotApplicable, ParameterError, PolyvolError, SizeError
 from .graphs import (
     FamilySpec,
     Graph,
@@ -66,32 +66,33 @@ def _sliced_from_spec(spec: FamilySpec):
     )
 
 
-def _auto_method(spec, graph: Graph) -> str:
-    if spec is not None and spec.kind == "null":
-        return "rvf"  # trivial and exact
-    if spec is not None and closed.has_closed_form(spec):
-        return "closed"
-    try:
-        b = from_graph(graph)
-    except MethodNotApplicable:
-        return "rvf"
-    return "perm" if b.n <= MAX_PERM_SIDE else "rvf"
+def _closed_volume(spec) -> Fraction:
+    if spec is None:
+        raise MethodNotApplicable("closed forms need a family spec, not a file")
+    return closed.family_volume(spec)
 
 
-def _exact_volume(method: str, spec, graph: Graph) -> Fraction:
-    if method == "rvf":
-        return rvf_volume(graph)
-    if method == "closed":
-        if spec is None:
-            raise MethodNotApplicable("closed forms need a family spec, not a file")
-        return closed.family_volume(spec)
-    if method == "perm":
-        return perm_volume(from_graph(graph))
-    if method == "sym":
-        return symmetric_volume(from_graph(graph))
-    if method == "ehrhart":
-        return ehrhart_volume(graph)
-    raise ParameterError(f"unknown method {method!r}")
+# Exact methods: (spec, graph) -> Fraction. A kernel that does not apply
+# raises MethodNotApplicable or SizeError before any work. Kernels are looked
+# up in this module's globals at call time, so bench/pvbench/tracing.py's
+# wrappers on them see every call.
+EXACT = {
+    "rvf": lambda spec, g: rvf_volume(g),
+    "closed": lambda spec, g: _closed_volume(spec),
+    "perm": lambda spec, g: perm_volume(from_graph(g)),
+    "sym": lambda spec, g: symmetric_volume(from_graph(g)),
+    "ehrhart": lambda spec, g: ehrhart_volume(g),
+}
+
+
+def _auto_volume(spec, graph: Graph):
+    """(method, value): the first of closed and perm that applies, else rvf."""
+    for method in ("closed", "perm"):
+        try:
+            return method, EXACT[method](spec, graph)
+        except (MethodNotApplicable, SizeError):
+            pass
+    return "rvf", EXACT["rvf"](spec, graph)
 
 
 def _emit(args, text, payload):
@@ -101,8 +102,6 @@ def _emit(args, text, payload):
 def _cmd_volume(args) -> int:
     spec, graph = _resolve_graph(args.graph)
     method = args.method
-    if method == "auto":
-        method = _auto_method(spec, graph)
     if method == "mc":
         estimate, stderr = mc_volume(graph, args.samples, args.seed)
         _emit(
@@ -119,7 +118,10 @@ def _cmd_volume(args) -> int:
             },
         )
         return 0
-    value = _exact_volume(method, spec, graph)
+    if method == "auto":
+        method, value = _auto_volume(spec, graph)
+    else:
+        value = EXACT[method](spec, graph)
     _emit(
         args,
         format_rational(value),
@@ -224,6 +226,9 @@ def _cmd_crosscheck(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ParameterError("no methods given")
+    for method in methods:
+        if method != "mc" and method not in EXACT:
+            raise ParameterError(f"unknown method {method!r}")
     rows = []
     exact_values = []
     mc_row = None
@@ -233,7 +238,7 @@ def _cmd_crosscheck(args) -> int:
             mc_row = (estimate, stderr)
             rows.append(("mc", f"{estimate:.6f} ± {stderr:.6f}"))
         else:
-            value = _exact_volume(method, spec, graph)
+            value = EXACT[method](spec, graph)
             exact_values.append((method, value))
             rows.append((method, format_rational(value)))
     agree = len({v for _, v in exact_values}) <= 1
@@ -302,7 +307,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "rvf", "closed", "perm", "sym", "ehrhart", "mc"],
+        choices=["auto", *EXACT, "mc"],
     )
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -74,18 +74,6 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def delete_vertex(g: Graph, i: int) -> Graph:
-    """g - i, vertices above i shifted down by one."""
-    if not 0 <= i < g.n:
-        raise ParameterError(f"vertex {i} out of range for n={g.n}")
-    keep = [v for v in range(g.n) if v != i]
-    relabel = {v: k for k, v in enumerate(keep)}
-    return from_edges(
-        g.n - 1,
-        [(relabel[u], relabel[v]) for u, v in g.edges() if u != i and v != i],
-    )
-
-
 def join_graphs(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
     edges = list(g.edges())

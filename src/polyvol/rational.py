@@ -9,8 +9,6 @@ the fixed decimal rendering used by the CLI.
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def approx_decimal(q: Fraction) -> str:
     """Six decimal places, round-half-even, e.g. Fraction(5, 24) -> '0.208333'."""

@@ -6,29 +6,16 @@ the facet volumes vol(G - i) over all n vertices, divided by 2. Isolated
 vertices (a free coordinate integrates to 1) and connected components
 split off as factors, so only connected vertex sets are memoized. The
 cost grows with the number of connected induced subgraphs, which
-HARD_MAX_N bounds only loosely.
+MAX_RVF_N bounds only loosely.
 """
 
-import os
 from fractions import Fraction
 from math import factorial
 
-from .errors import ParameterError, SizeError
+from .errors import SizeError
 from .graphs import Graph, component_masks
 
-HARD_MAX_N = 26
-
-
-def size_limit() -> int:
-    """Vertex-count ceiling; POLYVOL_MAX_N may lower (never raise) it."""
-    env = os.environ.get("POLYVOL_MAX_N")
-    if env is None:
-        return HARD_MAX_N
-    if not (env.isascii() and env.isdigit()):
-        raise ParameterError(
-            f"POLYVOL_MAX_N must be a non-negative integer, got {env!r}"
-        )
-    return min(HARD_MAX_N, int(env))
+MAX_RVF_N = 26
 
 
 def rvf_volume(g: Graph) -> Fraction:
@@ -40,11 +27,10 @@ def rvf_volume(g: Graph) -> Fraction:
     (isolated vertices included, W = 2 each) has
     W(T) = |T|! / prod |C_j|! * prod W(C_j).
     """
-    limit = size_limit()
     n = g.n
-    if n > limit:
+    if n > MAX_RVF_N:
         raise SizeError(
-            f"graph has {n} vertices; the recursive method is capped at {limit}"
+            f"graph has {n} vertices; the recursive method is capped at {MAX_RVF_N}"
         )
     adj = g.adj
     fact = [factorial(k) for k in range(n + 1)]

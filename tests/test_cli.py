@@ -4,9 +4,8 @@ import tracemalloc
 
 import pytest
 
-from polyvol import from_edges
 from polyvol.bipartite import MAX_PERM_SIDE
-from polyvol.cli import _auto_method, main
+from polyvol.cli import EXACT, main
 
 
 def run(capsys, *argv):
@@ -26,12 +25,26 @@ def test_volume_kbip_perm(capsys):
 
 
 def test_volume_methods_agree(capsys):
-    results = set()
-    for method in ("auto", "rvf", "perm", "sym", "ehrhart", "closed"):
-        code, out, _ = run(capsys, "volume", "kbip:2,3", "--method", method)
-        assert code == 0
-        results.add(out)
-    assert results == {"1/10 (≈ 0.100000)"}
+    # every exact method applies to both graphs
+    cases = (("kbip:2,3", "1/10 (≈ 0.100000)"), ("bn:3", "1/15 (≈ 0.066667)"))
+    for dsl, expected in cases:
+        for method in ("auto", *EXACT):
+            code, out, _ = run(capsys, "volume", dsl, "--method", method)
+            assert (code, out) == (0, expected), (dsl, method)
+
+
+def test_closed_covers_null_graphs(capsys):
+    code, out, _ = run(capsys, "volume", "null:3", "--method", "closed")
+    assert code == 0 and out == "1 (≈ 1.000000)"
+    code, out, _ = run(capsys, "volume", "null:3", "--json")
+    assert code == 0 and json.loads(out)["method"] == "closed"
+
+
+def test_closed_rejects_a_join_of_empty_null_graphs(capsys):
+    code, _, err = run(capsys, "volume", "njoin(2,null:0)", "--method", "closed")
+    assert code == 2 and "no closed form" in err
+    code, out, _ = run(capsys, "volume", "njoin(2,null:0)", "--json")
+    assert code == 0 and json.loads(out)["method"] == "perm"
 
 
 def test_volume_json(capsys):
@@ -103,6 +116,11 @@ def test_crosscheck(capsys):
     assert out.count("5/48") == 2
 
 
+def test_crosscheck_rejects_unknown_methods_before_running_any(capsys):
+    code, out, err = run(capsys, "crosscheck", "cycle:5", "--methods", "perm,bogus")
+    assert code == 1 and "bogus" in err and out == ""
+
+
 def test_families(capsys):
     code, out, _ = run(capsys, "families", "path", "1..4")
     assert code == 0
@@ -128,9 +146,8 @@ def test_method_not_applicable_exits_two(capsys):
     assert run(capsys, "volume", "path:4", "--method", "sym")[0] == 2
 
 
-def test_env_guard_respected(capsys, monkeypatch):
-    monkeypatch.setenv("POLYVOL_MAX_N", "3")
-    code, _, err = run(capsys, "volume", "path:4", "--method", "rvf")
+def test_env_guard_respected(capsys):
+    code, _, err = run(capsys, "volume", "path:27", "--method", "rvf")
     assert code == 1 and "capped" in err
 
 
@@ -140,14 +157,19 @@ def test_auto_falls_back_to_rvf(capsys):
     assert code == 0 and out == "1/8 (≈ 0.125000)"
 
 
-def test_auto_uses_perm_up_to_the_side_cap():
+def test_auto_uses_perm_up_to_the_side_cap(capsys):
     def star_forest(small):
         # each small-side vertex gets two private leaves
-        edges = [(i, small + 2 * i + k) for i in range(small) for k in range(2)]
-        return from_edges(3 * small, edges)
+        pairs = ",".join(
+            f"{i}-{small + 2 * i + k}" for i in range(small) for k in range(2)
+        )
+        return f"edges:{3 * small}:{pairs}"
 
-    assert _auto_method(None, star_forest(MAX_PERM_SIDE)) == "perm"
-    assert _auto_method(None, star_forest(MAX_PERM_SIDE + 1)) == "rvf"
+    code, out, _ = run(capsys, "volume", star_forest(MAX_PERM_SIDE), "--json")
+    assert code == 0 and json.loads(out)["method"] == "perm"
+    # past the cap auto falls to rvf, which rejects the 51 vertices
+    code, _, err = run(capsys, "volume", star_forest(MAX_PERM_SIDE + 1))
+    assert code == 1 and "recursive method is capped" in err
 
 
 def test_auto_ignores_isolated_vertices_when_sizing_the_small_side(capsys):

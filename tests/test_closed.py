@@ -40,6 +40,8 @@ def test_zigzag_prefix():
         ("njoin(2,null:2)", F(1, 6)),
         ("bn:3", F(1, 15)),
         ("complete:5", F(1, 16)),
+        ("null:0", F(1)),
+        ("null:3", F(1)),
     ],
 )
 def test_family_volumes(dsl, expected):
@@ -56,6 +58,8 @@ def test_unsupported_family_rejected():
         family_volume(parse_spec("join(null:1,path:3)"))
     with pytest.raises(MethodNotApplicable):
         family_volume(parse_spec("njoin(2,path:3)"))
+    with pytest.raises(MethodNotApplicable):
+        family_volume(parse_spec("njoin(2,null:0)"))
 
 
 def test_altsum_examples():

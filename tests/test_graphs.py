@@ -7,7 +7,6 @@ from polyvol import (
     bipartition,
     build_family,
     connected_components,
-    delete_vertex,
     from_edges,
     graph_from_dsl,
     join_graphs,
@@ -16,6 +15,18 @@ from polyvol import (
     strip_isolated,
 )
 from polyvol.graphs import parse_edge_list
+
+
+def delete_vertex(g, i):
+    """g - i, vertices above i shifted down by one."""
+    if not 0 <= i < g.n:
+        raise ParameterError(f"vertex {i} out of range for n={g.n}")
+    keep = [v for v in range(g.n) if v != i]
+    relabel = {v: k for k, v in enumerate(keep)}
+    return from_edges(
+        g.n - 1,
+        [(relabel[u], relabel[v]) for u, v in g.edges() if u != i and v != i],
+    )
 
 
 def test_path_edges():

@@ -5,7 +5,6 @@ import pytest
 
 import corpus_util
 from polyvol import (
-    ParameterError,
     SizeError,
     family_volume,
     from_edges,
@@ -120,20 +119,3 @@ def test_integer_recursion_matches_fraction_recursion():
 def test_size_guard():
     with pytest.raises(SizeError):
         rvf_volume(graph_from_dsl("path:27"))
-
-
-def test_env_var_lowers_but_never_raises_guard(monkeypatch):
-    monkeypatch.setenv("POLYVOL_MAX_N", "5")
-    with pytest.raises(SizeError):
-        rvf_volume(graph_from_dsl("path:6"))
-    monkeypatch.setenv("POLYVOL_MAX_N", "99")
-    with pytest.raises(SizeError):
-        rvf_volume(graph_from_dsl("path:27"))
-    assert rvf_volume(graph_from_dsl("path:5")) == F(2, 15)
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", "", "2.5", "²"])
-def test_invalid_env_var_is_rejected(monkeypatch, value):
-    monkeypatch.setenv("POLYVOL_MAX_N", value)
-    with pytest.raises(ParameterError, match="POLYVOL_MAX_N"):
-        rvf_volume(graph_from_dsl("path:3"))
