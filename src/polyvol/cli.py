@@ -262,6 +262,11 @@ def _cmd_crosscheck(args) -> int:
     return 0 if agree else 1
 
 
+# Largest n that `families` accepts: the zigzag table costs O(N^2) big-integer
+# products, and the slowest range, path 0..MAX_FAMILY_N, takes about a second.
+MAX_FAMILY_N = 500
+
+
 def _cmd_families(args) -> int:
     try:
         lo_text, hi_text = args.range.split("..")
@@ -270,16 +275,19 @@ def _cmd_families(args) -> int:
         raise ParameterError("range must look like 1..10")
     if hi < lo:
         raise ParameterError("empty range")
+    if hi > MAX_FAMILY_N:
+        raise SizeError(f"range top {hi} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
     minimum = {"path": 0, "cycle": 3, "complete": 1, "bn": 2}
     if args.family not in minimum:
         raise ParameterError(
             "families supports path, cycle, complete, bn"
         )
+    zigzag = closed.euler_numbers(max(hi, 0)) if args.family in ("path", "cycle") else None
     lines = []
     entries = []
     for n in range(max(lo, minimum[args.family]), hi + 1):
         spec = FamilySpec(args.family, args=(n,))
-        value = closed.family_volume(spec)
+        value = closed.family_volume(spec, zigzag)
         lines.append(f"{args.family}:{n} {format_rational(value)}")
         entries.append(
             {"n": n, "numerator": str(value.numerator), "denominator": str(value.denominator)}

@@ -27,21 +27,24 @@ def euler_numbers(n_max: int):
     return e[: n_max + 1]
 
 
-def path_volume(n: int) -> Fraction:
+def path_volume(n: int, zigzag=None) -> Fraction:
+    """E_n / n!, read from `zigzag` (E_0..E_N, N >= n) when given."""
     if n < 0:
         raise ParameterError("path needs n >= 0")
-    return Fraction(euler_numbers(n)[n], factorial(n))
+    e = zigzag or euler_numbers(n)
+    return Fraction(e[n], factorial(n))
 
 
-def cycle_volume(n: int) -> Fraction:
-    """E_{n-1} / (2 (n-1)!).
+def cycle_volume(n: int, zigzag=None) -> Fraction:
+    """E_{n-1} / (2 (n-1)!), read from `zigzag` when given.
 
     Simple cycles require n >= 3; n = 2 is accepted only because the
     analytic series identity uses the formula's value 1/2 there.
     """
     if n < 2:
         raise ParameterError("cycle volume formula needs n >= 2")
-    return Fraction(euler_numbers(n - 1)[n - 1], 2 * factorial(n - 1))
+    e = zigzag or euler_numbers(n - 1)
+    return Fraction(e[n - 1], 2 * factorial(n - 1))
 
 
 def complete_volume(n: int) -> Fraction:
@@ -72,18 +75,22 @@ def bn_volume(n: int) -> Fraction:
     return (1 + Fraction(1, n)) / comb(2 * n, n)
 
 
-def family_volume(spec: FamilySpec) -> Fraction:
-    """Closed-form volume for a covered family spec."""
+def family_volume(spec: FamilySpec, zigzag=None) -> Fraction:
+    """Closed-form volume for a covered family spec.
+
+    Paths and cycles read their zigzag number from `zigzag` (E_0..E_N)
+    when given, so a range of them needs one table.
+    """
     kind = spec.kind
     if kind == "null":
         return Fraction(1)
     if kind == "path":
-        return path_volume(spec.args[0])
+        return path_volume(spec.args[0], zigzag)
     if kind == "cycle":
         n = spec.args[0]
         if n < 3:
             raise ParameterError("cycle needs n >= 3")
-        return cycle_volume(n)
+        return cycle_volume(n, zigzag)
     if kind == "complete":
         return complete_volume(spec.args[0])
     if kind == "kbip":

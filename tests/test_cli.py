@@ -127,6 +127,49 @@ def test_families(capsys):
     assert out.splitlines()[-1] == "path:4 5/24 (≈ 0.208333)"
 
 
+def test_families_builds_one_zigzag_table_per_range(capsys, monkeypatch):
+    from polyvol import closed
+
+    calls = []
+    euler_numbers = closed.euler_numbers
+    monkeypatch.setattr(
+        closed, "euler_numbers", lambda n: calls.append(n) or euler_numbers(n)
+    )
+    for family, lo in (("path", 0), ("cycle", 3)):
+        calls.clear()
+        code, out, _ = run(capsys, "families", family, f"{lo}..60", "--json")
+        assert code == 0 and calls == [60]
+        values = json.loads(out)["values"]
+        assert [v["n"] for v in values] == list(range(lo, 61))
+        for v in values:
+            # one table per n, as `volume path:n --method closed` builds it
+            expected = closed.family_volume(closed.FamilySpec(family, args=(v["n"],)))
+            assert (v["numerator"], v["denominator"]) == (
+                str(expected.numerator), str(expected.denominator)
+            )
+
+
+def test_families_rejects_a_top_over_the_bound_before_looping(capsys):
+    from polyvol.cli import MAX_FAMILY_N
+
+    start = time.perf_counter()
+    for family in ("path", "complete"):
+        code, out, err = run(capsys, "families", family, f"1..{MAX_FAMILY_N + 1}")
+        assert code == 1 and out == "" and "MAX_FAMILY_N" in err
+    code, _, err = run(capsys, "families", "cycle", "3..100000000")
+    assert code == 1 and "MAX_FAMILY_N" in err
+    assert time.perf_counter() - start < 1
+    assert run(capsys, "families", "bn", f"2..{MAX_FAMILY_N}")[0] == 0
+
+
+def test_rvf_state_budget_exits_one(capsys, monkeypatch):
+    from polyvol import rvf
+
+    monkeypatch.setattr(rvf, "MAX_RVF_STATES", 10_000)
+    code, out, err = run(capsys, "volume", "kbip:1,20", "--method", "rvf")
+    assert code == 1 and out == "" and "MAX_RVF_STATES" in err
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n0 1\n1 2\n")

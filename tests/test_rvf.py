@@ -1,9 +1,12 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 import corpus_util
+from polyvol import rvf
 from polyvol import (
     SizeError,
     family_volume,
@@ -119,3 +122,57 @@ def test_integer_recursion_matches_fraction_recursion():
 def test_size_guard():
     with pytest.raises(SizeError):
         rvf_volume(graph_from_dsl("path:27"))
+
+
+# n = 8k - 1, 8k, 8k + 1: the neighbourhood tables are indexed by mask bytes
+CHUNK_EDGE_NS = (7, 8, 9, 15, 16, 17, 23, 24, 25, 26)
+
+
+@pytest.mark.parametrize(
+    "dsl",
+    [f"path:{n}" for n in CHUNK_EDGE_NS]
+    + [f"cycle:{n}" for n in CHUNK_EDGE_NS]
+    + [f"complete:{n}" for n in range(11, 15)]
+    + [f"kbip:{m},{n}" for m in range(1, 9) for n in range(m, 17 - m)],
+)
+def test_agreement_with_closed_forms_past_one_byte(dsl):
+    assert rvf_volume(graph_from_dsl(dsl)) == family_volume(parse_spec(dsl))
+
+
+def scattered_graph(rng, n, p):
+    """Two random blocks plus isolated vertices, labels shuffled so that
+    every component spreads over both bytes of the vertex mask."""
+    isolated = rng.randint(0, 3)
+    split = rng.randint(2, n - isolated - 2)
+    blocks = (range(split), range(split, n - isolated))
+    edges = [
+        (i, j) for b in blocks for i in b for j in b if i < j and rng.random() < p
+    ]
+    label = list(range(n))
+    rng.shuffle(label)
+    return from_edges(n, [(label[i], label[j]) for i, j in edges])
+
+
+def test_integer_recursion_matches_fraction_recursion_past_one_byte():
+    rng = random.Random(corpus_util.MASTER_SEED + 7)
+    graphs = [corpus_util.random_graph(rng, rng.randint(12, 15), p=0.25) for _ in range(4)]
+    graphs += [scattered_graph(rng, rng.randint(12, 17), p=0.4) for _ in range(6)]
+    assert any(not g.adj[v] for g in graphs for v in range(g.n))
+    for g in graphs:
+        assert rvf_volume(g) == fraction_rvf(g), g.edges()
+
+
+def test_state_budget_stops_a_star_early(monkeypatch):
+    # kbip:1,20 reaches 2^21 vertex sets; the budget is read at call time
+    monkeypatch.setattr(rvf, "MAX_RVF_STATES", 10_000)
+    assert rvf_volume(graph_from_dsl("complete:13")) == F(1, 2**12)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeError, match="MAX_RVF_STATES = 10000"):
+            rvf_volume(graph_from_dsl("kbip:1,20"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 8 * 2**20
