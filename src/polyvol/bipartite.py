@@ -30,9 +30,12 @@ class BipartiteGraph:
     neighborhoods: tuple  # one frozenset per V2-vertex, subset of 0..n-1
 
     def __post_init__(self):
-        # empty neighborhoods contribute a factor 1 and are dropped up front
+        # empty neighborhoods contribute a factor 1 and are dropped up front.
+        # Tuples here are made from lists: tuple(generator) allocates one size
+        # and frees another, so CPython's per-size free lists of dead tuples
+        # grow with every call until a full garbage collection clears them.
         object.__setattr__(
-            self, "neighborhoods", tuple(s for s in self.neighborhoods if s)
+            self, "neighborhoods", tuple([s for s in self.neighborhoods if s])
         )
 
 
@@ -50,9 +53,7 @@ def from_graph(g: Graph) -> BipartiteGraph:
         v1 = a if (not a and not b) or min(a | {stripped.n}) < min(b | {stripped.n}) else b
     v2 = (a | b) - v1
     index = {v: k for k, v in enumerate(sorted(v1))}
-    hoods = tuple(
-        frozenset(index[u] for u in _bits(stripped.adj[w])) for w in sorted(v2)
-    )
+    hoods = [frozenset(index[u] for u in _bits(stripped.adj[w])) for w in sorted(v2)]
     return BipartiteGraph(len(v1), hoods)
 
 

@@ -11,9 +11,11 @@ from fractions import Fraction
 
 from . import closed
 from .bipartite import from_graph, perm_volume, symmetric_volume
+from .closed import MAX_FAMILY_N
 from .ehrhart import ehrhart_fit, ehrhart_volume, hstar, lattice_count
 from .errors import MethodNotApplicable, ParameterError, PolyvolError, SizeError
 from .graphs import (
+    FAMILIES,
     FamilySpec,
     Graph,
     bipartition,  # unused here, but bench/pvbench/tracing.py wraps cli.bipartition
@@ -24,7 +26,7 @@ from .graphs import (
 from .mc import mc_volume
 from .rational import approx_decimal, format_rational
 from .rvf import rvf_volume
-from .series import series_partial, series_target, trace_quadrature
+from .series import series_partial, series_target
 from .slices import (
     sliced_complete_bipartite,
     sliced_join,
@@ -191,8 +193,8 @@ def _cmd_ehrhart(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    target = series_target(args.n)  # first: it bounds n before the partial sum runs
     partial = series_partial(args.n, args.terms)
-    target = series_target(args.n)
     diff = abs(partial - target)
     text = (
         f"partial sum (K={args.terms}) = {_mpf_str(partial)}\n"
@@ -262,11 +264,6 @@ def _cmd_crosscheck(args) -> int:
     return 0 if agree else 1
 
 
-# Largest n that `families` accepts: the zigzag table costs O(N^2) big-integer
-# products, and the slowest range, path 0..MAX_FAMILY_N, takes about a second.
-MAX_FAMILY_N = 500
-
-
 def _cmd_families(args) -> int:
     try:
         lo_text, hi_text = args.range.split("..")
@@ -277,15 +274,14 @@ def _cmd_families(args) -> int:
         raise ParameterError("empty range")
     if hi > MAX_FAMILY_N:
         raise SizeError(f"range top {hi} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
-    minimum = {"path": 0, "cycle": 3, "complete": 1, "bn": 2}
-    if args.family not in minimum:
-        raise ParameterError(
-            "families supports path, cycle, complete, bn"
-        )
+    family = FAMILIES.get(args.family)
+    if family is None or len(family.minima) != 1:
+        kinds = ", ".join(k for k, f in FAMILIES.items() if len(f.minima) == 1)
+        raise ParameterError(f"families supports {kinds}")
     zigzag = closed.euler_numbers(max(hi, 0)) if args.family in ("path", "cycle") else None
     lines = []
     entries = []
-    for n in range(max(lo, minimum[args.family]), hi + 1):
+    for n in range(max(lo, family.minima[0]), hi + 1):
         spec = FamilySpec(args.family, args=(n,))
         value = closed.family_volume(spec, zigzag)
         lines.append(f"{args.family}:{n} {format_rational(value)}")
@@ -347,10 +343,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,8 +9,13 @@ identity that falls out of the complete-bipartite computation.
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import MethodNotApplicable, ParameterError
+from .errors import MethodNotApplicable, ParameterError, SizeError
 from .graphs import FamilySpec
+
+# Largest zigzag index euler_numbers computes: the table costs O(N^2) big-integer
+# products, and the slowest `families` range, path 0..MAX_FAMILY_N, takes about
+# a second.
+MAX_FAMILY_N = 500
 
 
 def euler_numbers(n_max: int):
@@ -20,6 +25,8 @@ def euler_numbers(n_max: int):
     """
     if n_max < 0:
         raise ParameterError("need N >= 0")
+    if n_max > MAX_FAMILY_N:
+        raise SizeError(f"zigzag index {n_max} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
     e = [1]
     for k in range(n_max):
         total = sum(comb(k, i) * e[i] * e[k - i] for i in range(k + 1))
@@ -87,10 +94,7 @@ def family_volume(spec: FamilySpec, zigzag=None) -> Fraction:
     if kind == "path":
         return path_volume(spec.args[0], zigzag)
     if kind == "cycle":
-        n = spec.args[0]
-        if n < 3:
-            raise ParameterError("cycle needs n >= 3")
-        return cycle_volume(n, zigzag)
+        return cycle_volume(spec.args[0], zigzag)
     if kind == "complete":
         return complete_volume(spec.args[0])
     if kind == "kbip":

@@ -113,7 +113,10 @@ def _count_connected(g: Graph, t: int, work_left: int) -> tuple:
         memo[state] = total
         return total
 
-    return count((t,) * n), work_left
+    try:
+        return count((t,) * n), work_left
+    finally:
+        del count  # frees the memo now; see rvf_volume
 
 
 @dataclass(frozen=True)

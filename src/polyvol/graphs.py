@@ -1,4 +1,4 @@
-"""Simple-graph representation, family constructors, and the graph DSL.
+"""Simple-graph representation, the named-family table, and the graph DSL.
 
 Vertices are labeled 0..n-1 and adjacency is stored as one bitmask per
 vertex, so vertex subsets fit in a machine word (n is capped at 63; the
@@ -7,8 +7,9 @@ exact volume methods are exponential and never get near that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DSLError, ParameterError
 
@@ -155,15 +156,49 @@ def bipartition(g: Graph) -> Optional[tuple]:
 # Family specs and the graph DSL
 # ---------------------------------------------------------------------------
 
-_SIMPLE_KINDS = {"null", "path", "cycle", "complete", "kbip", "bn"}
+class Family(NamedTuple):
+    minima: tuple  # least value of each argument
+    vertex_count: Callable
+    edges: Callable  # lazy, so from_edges rejects a huge n before building any
+
+
+FAMILIES = {
+    "null": Family((0,), lambda n: n, lambda n: ()),
+    "path": Family((0,), lambda n: n, lambda n: ((i, i + 1) for i in range(n - 1))),
+    "cycle": Family((3,), lambda n: n, lambda n: ((i, (i + 1) % n) for i in range(n))),
+    "complete": Family((1,), lambda n: n, lambda n: combinations(range(n), 2)),
+    "kbip": Family(
+        (1, 1), lambda m, n: m + n, lambda m, n: product(range(m), range(m, m + n))
+    ),
+    # K_{n,n} minus the identity perfect matching
+    "bn": Family(
+        (2,), lambda n: 2 * n,
+        lambda n: ((i, n + j) for i in range(n) for j in range(n) if i != j),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A parsed graph spec; its arguments are checked when it is made."""
+
     kind: str
     args: tuple = ()
     children: tuple = ()
     edges: tuple = ()
+
+    def __post_init__(self):
+        family = FAMILIES.get(self.kind)
+        if family is not None:
+            if len(self.args) != len(family.minima) or any(
+                a < least for a, least in zip(self.args, family.minima)
+            ):
+                least = ",".join(map(str, family.minima))
+                raise ParameterError(f"{self} is invalid; least is {self.kind}:{least}")
+        elif self.kind not in ("join", "njoin", "explicit"):
+            raise ParameterError(f"unknown family kind {self.kind!r}")
+        elif self.kind == "njoin" and self.args[0] < 1:
+            raise ParameterError("njoin multiplier must be >= 1")
 
     def __str__(self) -> str:
         if self.kind == "join":
@@ -177,59 +212,20 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Materialize a FamilySpec as a Graph; validates parameter ranges.
-
-    Edges are generated lazily, so from_edges rejects an oversized vertex
-    count before any of them is built.
-    """
-    kind = spec.kind
-    if kind == "null":
-        (n,) = spec.args
-        _require(n >= 0, "null graph needs n >= 0")
-        return from_edges(n, [])
-    if kind == "path":
-        (n,) = spec.args
-        _require(n >= 0, "path needs n >= 0")
-        return from_edges(n, ((i, i + 1) for i in range(n - 1)))
-    if kind == "cycle":
-        (n,) = spec.args
-        _require(n >= 3, "cycle needs n >= 3")
-        return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
-    if kind == "complete":
-        (n,) = spec.args
-        _require(n >= 1, "complete graph needs n >= 1")
-        return from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
-    if kind == "kbip":
-        m, n = spec.args
-        _require(m >= 1 and n >= 1, "complete bipartite needs m, n >= 1")
-        return from_edges(m + n, ((i, m + j) for i in range(m) for j in range(n)))
-    if kind == "bn":
-        (n,) = spec.args
-        _require(n >= 2, "bn needs n >= 2")
-        # K_{n,n} minus the identity perfect matching
-        return from_edges(
-            2 * n, ((i, n + j) for i in range(n) for j in range(n) if i != j)
-        )
-    if kind == "join":
+    """Materialize a FamilySpec as a Graph."""
+    if spec.kind == "join":
         a, b = spec.children
         return join_graphs(build_family(a), build_family(b))
-    if kind == "njoin":
-        (k,) = spec.args
-        _require(k >= 1, "njoin multiplier must be >= 1")
+    if spec.kind == "njoin":
         base = build_family(spec.children[0])
         g = base
-        for _ in range(k - 1):
+        for _ in range(spec.args[0] - 1):
             g = join_graphs(g, base)
         return g
-    if kind == "explicit":
-        (n,) = spec.args
-        return from_edges(n, spec.edges)
-    raise ParameterError(f"unknown family kind {kind!r}")
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ParameterError(message)
+    if spec.kind == "explicit":
+        return from_edges(spec.args[0], spec.edges)
+    family = FAMILIES[spec.kind]
+    return from_edges(family.vertex_count(*spec.args), family.edges(*spec.args))
 
 
 class _Parser:
@@ -305,15 +301,13 @@ class _Parser:
                         break
                     self.pos += 1
             return FamilySpec("explicit", args=(n,), edges=tuple(pairs))
-        if kind == "kbip":
+        if kind in FAMILIES:
             self.expect(":")
-            m = self.integer()
-            self.expect(",")
-            n = self.integer()
-            return FamilySpec("kbip", args=(m, n))
-        if kind in _SIMPLE_KINDS:
-            self.expect(":")
-            return FamilySpec(kind, args=(self.integer(),))
+            args = [self.integer()]
+            while len(args) < len(FAMILIES[kind].minima):
+                self.expect(",")
+                args.append(self.integer())
+            return FamilySpec(kind, args=tuple(args))
         self.fail(f"unknown family {kind!r}")
 
 

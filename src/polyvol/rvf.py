@@ -94,4 +94,9 @@ def rvf_volume(g: Graph) -> Fraction:
         return total
 
     full = (1 << n) - 1
-    return Fraction(memo.get(full) or weight(full), factorial(n) << n)
+    try:
+        return Fraction(memo.get(full) or weight(full), factorial(n) << n)
+    finally:
+        # weight's closure holds weight itself; emptying that cell frees the
+        # memo now rather than at the next cyclic garbage collection
+        del weight

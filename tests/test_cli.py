@@ -106,6 +106,38 @@ def test_series(capsys):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_series_rejects_an_order_past_the_zigzag_bound_before_summing(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "2000", "--terms", "1")
+    assert code == 1 and out == "" and "MAX_FAMILY_N" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_oversized_terms_and_samples_fail_fast(capsys):
+    cases = (
+        (("series", "3", "--terms", "100000000"), "MAX_SERIES_TERMS"),
+        (("volume", "cycle:5", "--method", "mc", "--samples", "1000000000"), "MAX_MC_WORK"),
+        (("volume", "null:0", "--method", "mc", "--samples", "10000000000"), "MAX_MC_WORK"),
+        (("crosscheck", "cycle:5", "--methods", "mc", "--samples", "1000000000"),
+         "MAX_MC_WORK"),
+    )
+    for argv, bound in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and bound in err, argv
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_back_to_back_calls_do_not_share_options(capsys):
+    code, out, _ = run(capsys, "volume", "kbip:2,3", "--json")
+    assert code == 0 and json.loads(out)["method"] == "closed"
+    assert run(capsys, "volume", "kbip:2,3") == (0, "1/10 (≈ 0.100000)", "")
+    code, out, _ = run(capsys, "volume", "kbip:2,3", "--method", "perm", "--json")
+    assert code == 0 and json.loads(out)["method"] == "perm"
+    code, out, _ = run(capsys, "volume", "kbip:2,3", "--json")
+    assert code == 0 and json.loads(out)["method"] == "closed"
+
+
 def test_crosscheck(capsys):
     code, out, _ = run(
         capsys, "crosscheck", "cycle:5", "--methods", "rvf,ehrhart,mc",
@@ -125,6 +157,13 @@ def test_families(capsys):
     code, out, _ = run(capsys, "families", "path", "1..4")
     assert code == 0
     assert out.splitlines()[-1] == "path:4 5/24 (≈ 0.208333)"
+    # every one-argument row of graphs.FAMILIES, from its least value
+    assert run(capsys, "families", "cycle", "0..3") == (0, "cycle:3 1/4 (≈ 0.250000)", "")
+    assert run(capsys, "families", "null", "0..1")[1].splitlines() == [
+        "null:0 1 (≈ 1.000000)", "null:1 1 (≈ 1.000000)"
+    ]
+    code, _, err = run(capsys, "families", "kbip", "1..3")
+    assert code == 1 and "null, path, cycle, complete, bn" in err
 
 
 def test_families_builds_one_zigzag_table_per_range(capsys, monkeypatch):

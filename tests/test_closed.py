@@ -5,13 +5,14 @@ import pytest
 
 from polyvol import (
     MethodNotApplicable,
+    SizeError,
     altsum_identity,
     euler_numbers,
     family_volume,
     parse_spec,
     path_generating_coefficients,
 )
-from polyvol.closed import bn_volume, complete_bipartite_volume
+from polyvol.closed import MAX_FAMILY_N, bn_volume, complete_bipartite_volume
 
 
 def test_euler_numbers_small():
@@ -29,6 +30,11 @@ def test_euler_numbers_base_case():
 
 def test_zigzag_prefix():
     assert euler_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+
+
+def test_zigzag_index_past_the_bound_fails_at_once():
+    with pytest.raises(SizeError, match="MAX_FAMILY_N"):
+        euler_numbers(MAX_FAMILY_N + 1)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -219,3 +220,13 @@ def test_dilation_ratio_approaches_volume():
         # error decays like C/t: fit C at t=20 and check t=40 stays below it
         c = errors[20] * 20 * 1.05
         assert errors[40] <= c / 40
+
+
+def test_count_memo_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        assert lattice_count(graph_from_dsl("cycle:7"), 5) == 21122
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,6 +3,7 @@ import pytest
 import corpus_util
 from polyvol import (
     DSLError,
+    FamilySpec,
     ParameterError,
     bipartition,
     build_family,
@@ -14,7 +15,7 @@ from polyvol import (
     rvf_volume,
     strip_isolated,
 )
-from polyvol.graphs import parse_edge_list
+from polyvol.graphs import FAMILIES, parse_edge_list
 
 
 def delete_vertex(g, i):
@@ -148,6 +149,35 @@ def test_nested_join_dsl():
     spec = parse_spec("join(null:2,njoin(2,null:1))")
     g = build_family(spec)
     assert g.n == 4 and g.edge_count() == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_family_row_parses_builds_and_bounds_its_arguments(kind):
+    row = FAMILIES[kind]
+    for bump in (0, 1, 3):
+        args = tuple(least + bump for least in row.minima)
+        text = f"{kind}:{','.join(map(str, args))}"
+        spec = parse_spec(text)
+        assert str(spec) == text and spec.args == args
+        assert build_family(spec).n == row.vertex_count(*args)
+    for i in range(len(row.minima)):
+        below = tuple(least - (j == i) for j, least in enumerate(row.minima))
+        with pytest.raises(ParameterError):
+            FamilySpec(kind, args=below)
+        if below[i] >= 0:  # the DSL has no minus sign
+            with pytest.raises(ParameterError):
+                parse_spec(f"{kind}:{','.join(map(str, below))}")
+    with pytest.raises(ParameterError):
+        FamilySpec(kind, args=row.minima + (1,))
+
+
+def test_composite_specs_are_checked_when_made():
+    with pytest.raises(ParameterError):
+        parse_spec("njoin(0,null:2)")
+    with pytest.raises(ParameterError):
+        FamilySpec("tree", args=(4,))
+    text = "njoin(1,join(null:1,kbip:1,2))"
+    assert str(parse_spec(text)) == text
 
 
 def test_dsl_error_carries_column():

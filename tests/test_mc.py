@@ -1,7 +1,8 @@
 import pytest
 
 import corpus_util
-from polyvol import ParameterError, graph_from_dsl, mc_volume, rvf_volume
+from polyvol import ParameterError, SizeError, graph_from_dsl, mc_volume, rvf_volume
+from polyvol.mc import MAX_MC_WORK
 
 
 def test_determinism():
@@ -31,6 +32,17 @@ def test_cycle5_within_band():
 def test_sample_validation():
     with pytest.raises(ParameterError):
         mc_volume(graph_from_dsl("path:3"), 0, 1)
+
+
+def test_work_bound_admits_every_default_call_and_rejects_more():
+    # the default 10^5 samples on the largest graph, complete:63
+    assert 100_000 * (1 + 63 + 63 * 62 // 2) <= MAX_MC_WORK
+    g = graph_from_dsl("cycle:5")
+    limit = MAX_MC_WORK // (1 + 5 + 5)
+    with pytest.raises(SizeError, match="MAX_MC_WORK"):
+        mc_volume(g, limit + 1, 0)
+    with pytest.raises(SizeError, match="MAX_MC_WORK"):
+        mc_volume(graph_from_dsl("null:0"), MAX_MC_WORK + 1, 0)
 
 
 def test_band_on_random_graphs_small_run():

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 import tracemalloc
@@ -176,3 +177,15 @@ def test_state_budget_stops_a_star_early(monkeypatch):
         tracemalloc.stop()
     assert time.perf_counter() - start < 5
     assert peak < 8 * 2**20
+
+
+def test_memo_is_freed_without_the_cycle_collector():
+    # a memo left in a reference cycle lives until the next full collection,
+    # so back-to-back calls would hold several memos at once
+    gc.collect()
+    gc.disable()
+    try:
+        assert rvf_volume(graph_from_dsl("complete:12")) == F(1, 2**11)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

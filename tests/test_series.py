@@ -5,6 +5,7 @@ from mpmath import mp
 
 from polyvol import (
     ParameterError,
+    SizeError,
     eigen_residual,
     graph_from_dsl,
     rvf_volume,
@@ -12,7 +13,7 @@ from polyvol import (
     series_target,
     trace_quadrature,
 )
-from polyvol.series import series_tail_bound
+from polyvol.series import MAX_SERIES_TERMS, series_tail_bound
 
 
 def test_classical_values():
@@ -41,6 +42,14 @@ def test_parameter_validation():
         eigen_residual(6, 2000)
     with pytest.raises(ParameterError):
         eigen_residual(0, 500)
+
+
+def test_terms_bound_admits_the_n2_check_and_rejects_more():
+    assert MAX_SERIES_TERMS >= 200_000
+    with pytest.raises(SizeError, match="MAX_SERIES_TERMS"):
+        series_partial(3, MAX_SERIES_TERMS + 1)
+    with pytest.raises(ParameterError):
+        series_target(1)
 
 
 def test_tail_bound_invariant():
