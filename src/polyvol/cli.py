@@ -28,6 +28,7 @@ from .rational import approx_decimal, format_rational
 from .rvf import rvf_volume
 from .series import series_partial, series_target
 from .slices import (
+    MAX_SLICED_N,
     sliced_complete_bipartite,
     sliced_join,
     sliced_multiple,
@@ -152,6 +153,11 @@ def _cmd_count(args) -> int:
 
 def _cmd_sliced(args) -> int:
     spec = parse_spec(args.graph)
+    n = spec.vertex_count()
+    if n > MAX_SLICED_N:
+        raise SizeError(
+            f"{spec} has {n} vertices, more than MAX_SLICED_N = {MAX_SLICED_N}"
+        )
     s = _sliced_from_spec(spec)
     rendered = s.high.to_string("c")
     _emit(

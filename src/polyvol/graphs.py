@@ -200,6 +200,16 @@ class FamilySpec:
         elif self.kind == "njoin" and self.args[0] < 1:
             raise ParameterError("njoin multiplier must be >= 1")
 
+    def vertex_count(self) -> int:
+        """Vertices of the graph this spec describes, found without building it."""
+        if self.kind == "join":
+            return sum(c.vertex_count() for c in self.children)
+        if self.kind == "njoin":
+            return self.args[0] * self.children[0].vertex_count()
+        if self.kind == "explicit":
+            return self.args[0]
+        return FAMILIES[self.kind].vertex_count(*self.args)
+
     def __str__(self) -> str:
         if self.kind == "join":
             return f"join({self.children[0]},{self.children[1]})"

@@ -17,6 +17,11 @@ from .poly import Polynomial
 
 HALF = Fraction(1, 2)
 
+# Most vertices of a graph whose sliced volume is built: the polynomials have
+# degree n and exact rational coefficients. kbip:50,50, the slowest admitted
+# spec found, takes 1.5-2.1 s on a 2-core KVM guest, and kbip:64,64 2.8 s.
+MAX_SLICED_N = 100
+
 
 @dataclass(frozen=True)
 class SlicedVolume:

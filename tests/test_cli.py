@@ -128,6 +128,26 @@ def test_oversized_terms_and_samples_fail_fast(capsys):
         assert time.perf_counter() - start < 1, argv
 
 
+def test_oversized_sliced_specs_fail_before_building_any_polynomial(capsys):
+    from polyvol.slices import MAX_SLICED_N
+
+    start = time.perf_counter()
+    for spec in ("null:100000000", "njoin(100000000,null:1)", "kbip:60,60"):
+        code, out, err = run(capsys, "sliced", spec)
+        assert code == 1 and out == "" and "MAX_SLICED_N" in err, spec
+    assert time.perf_counter() - start < 1
+    # a join of 50 + 50 vertices sits on the bound
+    assert MAX_SLICED_N == 100
+    assert run(capsys, "sliced", "njoin(2,null:50)")[0] == 0
+
+
+def test_series_cost_does_not_grow_with_the_order(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "series", "501", "--terms", "250000")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert time.perf_counter() - start < 1
+
+
 def test_back_to_back_calls_do_not_share_options(capsys):
     code, out, _ = run(capsys, "volume", "kbip:2,3", "--json")
     assert code == 0 and json.loads(out)["method"] == "closed"

@@ -149,6 +149,10 @@ def test_nested_join_dsl():
     spec = parse_spec("join(null:2,njoin(2,null:1))")
     g = build_family(spec)
     assert g.n == 4 and g.edge_count() == 1 + 2 * 2
+    for text in ("join(null:2,njoin(2,null:1))", "njoin(3,join(kbip:1,2,bn:2))",
+                 "edges:5:0-1"):
+        spec = parse_spec(text)
+        assert spec.vertex_count() == build_family(spec).n, text
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
@@ -159,7 +163,7 @@ def test_every_family_row_parses_builds_and_bounds_its_arguments(kind):
         text = f"{kind}:{','.join(map(str, args))}"
         spec = parse_spec(text)
         assert str(spec) == text and spec.args == args
-        assert build_family(spec).n == row.vertex_count(*args)
+        assert build_family(spec).n == row.vertex_count(*args) == spec.vertex_count()
     for i in range(len(row.minima)):
         below = tuple(least - (j == i) for j, least in enumerate(row.minima))
         with pytest.raises(ParameterError):

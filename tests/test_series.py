@@ -13,7 +13,22 @@ from polyvol import (
     series_target,
     trace_quadrature,
 )
-from polyvol.series import MAX_SERIES_TERMS, series_tail_bound
+from polyvol.series import MAX_SERIES_TERMS, WORKING_DPS, series_tail_bound
+
+
+def series_reference(n, terms):
+    """The former kernel, kept as the oracle: an mpf sum, term by term."""
+    with mp.workdps(WORKING_DPS):
+        total = mp.mpf(0)
+        for k in range(terms, 0, -1):
+            total += mp.mpf(1) / (4 * k + 1) ** n + mp.mpf(1) / (1 - 4 * k) ** n
+        return total + 1
+
+
+@pytest.mark.parametrize("n", [*range(2, 11), 30, 501])
+def test_fixed_point_sum_matches_the_mpf_reference(n):
+    for terms in (1, 10, 1000, 20_000):
+        assert abs(series_partial(n, terms) - series_reference(n, terms)) < 1e-40, terms
 
 
 def test_classical_values():
