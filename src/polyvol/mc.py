@@ -26,10 +26,11 @@ _GATHER_MIN_ROWS = 2048
 
 # Most samples * (1 + vertices + edges) one estimate may cost: the default
 # 10^5 samples on the largest graph (63 vertices, 1953 edges) come to
-# 2.017e8 units and take about 0.1 s on a 2-core KVM guest, while the
-# slowest admitted call per unit, null:63 at 3.9e6 samples (no edge drops a
-# point), takes 0.8-1.2 s. The 1 bounds the per-sample cost of an empty
-# graph.
+# 2.017e8 units and take about 0.1 s on a 2-core KVM guest. A graph with no
+# edges returns without drawing (null:63 at 3.9e6 samples takes under 1 ms),
+# so the slowest admitted call found is one edge among 63 vertices at
+# 3.8e6 samples (half the points pass, too many to gather): 0.9-1.1 s. The
+# 1 keeps the sample count bounded on a graph with no vertices.
 MAX_MC_WORK = 250_000_000
 
 
@@ -54,6 +55,8 @@ def mc_volume(g: Graph, samples: int, seed: int):
             f"{samples} samples on {g.n} vertices and {len(edges)} edges "
             f"exceed MAX_MC_WORK = {MAX_MC_WORK}"
         )
+    if not edges:
+        return 1.0, 0.0  # every point of the cube is inside
     rng = np.random.default_rng(seed)
     rows = _CHUNK_VALUES // max(g.n, 1)
     hits = 0

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ def _oracle_corpus():
     named = (
         ("null:0", 1000),
         ("null:3", 5000),
+        ("null:63", 100_000),
         ("complete:22", 100_000),  # no hits
         ("cycle:5", 500_001),  # a multiple of neither kernel's chunk rows
         ("cycle:8", 2**20 // 8 + 1),  # one row past a chunk
@@ -77,6 +79,11 @@ def test_determinism():
 def test_unconstrained_graph():
     estimate, stderr = mc_volume(graph_from_dsl("null:3"), 1000, 7)
     assert estimate == 1.0 and stderr == 0.0
+    # the most samples the work bound admits on 63 vertices: nothing is drawn
+    g = graph_from_dsl("null:63")
+    start = time.perf_counter()
+    assert mc_volume(g, MAX_MC_WORK // (1 + g.n), 7) == (1.0, 0.0)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_known_area():

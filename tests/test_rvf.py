@@ -1,8 +1,10 @@
 import gc
+import itertools
 import random
 import time
 import tracemalloc
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -16,6 +18,7 @@ from polyvol import (
     parse_spec,
     rvf_volume,
 )
+from polyvol.closed import cycle_volume, path_volume
 from polyvol.graphs import _bits, component_masks
 
 CLOSED_FORM_SPECS = (
@@ -47,6 +50,11 @@ def fraction_rvf(g):
         return result
 
     return vol((1 << g.n) - 1)
+
+
+def memo_volume(g):
+    """rvf by the memo route, whatever the vertex count."""
+    return F(rvf._memo_weight(g), factorial(g.n) << g.n)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +133,7 @@ def test_size_guard():
         rvf_volume(graph_from_dsl("path:27"))
 
 
-# n = 8k - 1, 8k, 8k + 1: the neighbourhood tables are indexed by mask bytes
+# n = 8k - 1, 8k, 8k + 1: the memo's neighbourhood tables are indexed by mask bytes
 CHUNK_EDGE_NS = (7, 8, 9, 15, 16, 17, 23, 24, 25, 26)
 
 
@@ -143,7 +151,7 @@ def test_agreement_with_closed_forms_past_one_byte(dsl):
 def scattered_graph(rng, n, p):
     """Two random blocks plus isolated vertices, labels shuffled so that
     every component spreads over both bytes of the vertex mask."""
-    isolated = rng.randint(0, 3)
+    isolated = rng.randint(0, min(3, n - 4))
     split = rng.randint(2, n - isolated - 2)
     blocks = (range(split), range(split, n - isolated))
     edges = [
@@ -166,7 +174,7 @@ def test_integer_recursion_matches_fraction_recursion_past_one_byte():
 def test_state_budget_stops_a_star_early(monkeypatch):
     # kbip:1,20 reaches 2^21 vertex sets; the budget is read at call time
     monkeypatch.setattr(rvf, "MAX_RVF_STATES", 10_000)
-    assert rvf_volume(graph_from_dsl("complete:13")) == F(1, 2**12)
+    assert memo_volume(graph_from_dsl("complete:13")) == F(1, 2**12)
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -182,10 +190,65 @@ def test_state_budget_stops_a_star_early(monkeypatch):
 def test_memo_is_freed_without_the_cycle_collector():
     # a memo left in a reference cycle lives until the next full collection,
     # so back-to-back calls would hold several memos at once
+    cycle = graph_from_dsl("cycle:18")
     gc.collect()
     gc.disable()
     try:
         assert rvf_volume(graph_from_dsl("complete:12")) == F(1, 2**11)
+        assert rvf_volume(cycle) == cycle_volume(18)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dense_route_matches_the_memo_on_every_graph_up_to_five_vertices():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            g = from_edges(n, list(itertools.compress(pairs, keep)))
+            assert rvf_volume(g) == memo_volume(g), g.edges()
+
+
+def test_dense_route_matches_the_memo_up_to_dense_n():
+    rng = random.Random(corpus_util.MASTER_SEED + 10)
+    graphs = [
+        scattered_graph(rng, n, p)
+        for n in range(6, rvf.DENSE_N + 1)
+        for p in (0.3, 0.6)
+    ]
+    assert any(not g.adj[v] for g in graphs for v in range(g.n))
+    for g in graphs:
+        assert rvf_volume(g) == memo_volume(g), g.edges()
+
+
+def test_dense_n_is_the_largest_n_whose_weights_fit_int64():
+    # W peaks on the null graph at 2^n n!
+    n = rvf.DENSE_N
+    assert 2**n * factorial(n) < 2**63 <= 2 ** (n + 1) * factorial(n + 1)
+
+
+@pytest.mark.parametrize("dsl", ["null:16", "edges:16:", "complete:16", "kbip:8,8"])
+def test_int64_edge(dsl):
+    g = graph_from_dsl(dsl)
+    expected = 1 if dsl in ("null:16", "edges:16:") else family_volume(parse_spec(dsl))
+    assert rvf_volume(g) == expected
+
+
+@pytest.mark.parametrize("n", [rvf.DENSE_N, rvf.DENSE_N + 1])
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_routes_meet_at_dense_n(monkeypatch, family, n):
+    # the route a graph does not take must not run
+    monkeypatch.setattr(rvf, "_memo_weight" if n <= rvf.DENSE_N else "_dense_weight", None)
+    expected = path_volume(n) if family == "path" else cycle_volume(n)
+    assert rvf_volume(graph_from_dsl(f"{family}:{n}")) == expected
+
+
+def test_dense_route_memory_includes_its_tables():
+    rvf._layers.cache_clear()
+    tracemalloc.start()
+    try:
+        assert rvf_volume(graph_from_dsl("complete:16")) == F(1, 2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -113,11 +114,22 @@ def test_multiple_equals_iterated_join():
             assert sliced_multiple(base, m).high == iterated.high, (k, m)
 
 
+def closed_form_complete_bipartite(m, n):
+    """The former kernel, kept as the oracle, built without integration:
+    c^n (1-c)^m + m * sum_i C(n,i) (-1)^i (c^{m+i} - (1-c)^{m+i}) / (m+i)."""
+    one_minus = Polynomial((1, -1))
+    high = Polynomial.monomial(n) * one_minus ** m
+    for i in range(n + 1):
+        coef = F(m * comb(n, i) * (-1) ** i, m + i)
+        high = high + coef * (Polynomial.monomial(m + i) - one_minus ** (m + i))
+    return high
+
+
 def test_join_of_nulls_matches_bipartite_closed_form():
-    for m in range(1, 6):
-        for n in range(1, 6):
-            joined = sliced_join(sliced_null(m), sliced_null(n))
-            assert joined.high == sliced_complete_bipartite(m, n).high
+    for m, n in [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(50, 50)]:
+        s = sliced_complete_bipartite(m, n)
+        assert s.n == m + n
+        assert s.high == closed_form_complete_bipartite(m, n), (m, n)
 
 
 @pytest.mark.parametrize(
