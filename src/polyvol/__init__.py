@@ -35,13 +35,11 @@ from .graphs import (
     Graph,
     bipartition,
     build_family,
-    connected_components,
     from_edges,
     graph_from_dsl,
     join_graphs,
     load_edge_list,
     parse_spec,
-    strip_isolated,
 )
 from .mc import mc_volume
 from .poly import Polynomial, interpolate
@@ -64,8 +62,8 @@ __all__ = [
     "ehrhart_fit", "ehrhart_volume", "hstar", "hstar_volume", "lattice_count",
     "DSLError", "MethodNotApplicable", "ParameterError", "PolyvolError",
     "SizeError", "FamilySpec", "Graph", "bipartition", "build_family",
-    "connected_components", "from_edges", "graph_from_dsl", "join_graphs",
-    "load_edge_list", "parse_spec", "strip_isolated", "mc_volume",
+    "from_edges", "graph_from_dsl", "join_graphs", "load_edge_list",
+    "parse_spec", "mc_volume",
     "Polynomial", "interpolate", "format_rational", "rvf_volume",
     "eigen_residual", "series_partial", "series_target", "trace_quadrature",
     "SlicedVolume", "sliced_complete_bipartite", "sliced_eval", "sliced_join",

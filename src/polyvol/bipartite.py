@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import MethodNotApplicable, SizeError
-from .graphs import Graph, bipartition, strip_isolated, _bits
+from .graphs import Graph, bipartition, _bits
 
 # the subset recursion visits 2^n sets of side V1; `auto` uses the same cap
 MAX_PERM_SIDE = 16
@@ -41,19 +41,15 @@ class BipartiteGraph:
 
 def from_graph(g: Graph) -> BipartiteGraph:
     """Orient a bipartite graph: V1 = the smaller side (ties broken toward
-    the side holding the lowest-index vertex), isolated vertices stripped."""
-    stripped, _ = strip_isolated(g)
-    sides = bipartition(stripped)
+    the side holding the lowest-index vertex), isolated vertices dropped."""
+    sides = bipartition(g)
     if sides is None:
         raise MethodNotApplicable("graph is not bipartite")
-    a, b = sides
-    if len(a) != len(b):
-        v1 = a if len(a) < len(b) else b
-    else:
-        v1 = a if (not a and not b) or min(a | {stripped.n}) < min(b | {stripped.n}) else b
+    a, b = ({v for v in side if g.adj[v]} for side in sides)
+    v1 = min(a, b, key=lambda s: (len(s), min(s, default=g.n)))
     v2 = (a | b) - v1
     index = {v: k for k, v in enumerate(sorted(v1))}
-    hoods = [frozenset(index[u] for u in _bits(stripped.adj[w])) for w in sorted(v2)]
+    hoods = [frozenset(index[u] for u in _bits(g.adj[w])) for w in sorted(v2)]
     return BipartiteGraph(len(v1), hoods)
 
 

@@ -1,11 +1,12 @@
-"""Lattice-point counting in dilates of the graph polytope, polynomial
-interpolation of the counting function, and volume extraction.
+"""Lattice-point counting in dilates of the graph polytope, and the counting
+polynomial, volume and h* read off the counts at n + 1 dilates.
 
 For bipartite graphs the polytope has 0/1 vertices, so the count is a
-polynomial in the dilation factor t and n+1 samples pin it down. For
-non-bipartite graphs vertices are half-integral; sampling even dilations
-only (t = 2s) keeps a single polynomial, in s, and the leading
-coefficient then carries an extra factor 2^n.
+polynomial in the dilation factor t, fixed by its values at t = 0..n. For
+non-bipartite graphs vertices are half-integral; counting at even dilations
+only (t = 2s) keeps one polynomial, in s, whose leading coefficient carries
+an extra 2^n. That coefficient, the volume, is the n-th difference of the
+counts over n!; h* is their binomial transform.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import MethodNotApplicable, ParameterError, SizeError
-from .graphs import Graph, bipartition, connected_components, strip_isolated, _bits
+from .graphs import Graph, bipartition, component_masks, _bits
 from .poly import Polynomial, interpolate
 
 MAX_FIT_N = 10
@@ -23,24 +24,25 @@ MAX_COUNT_WORK = 10_000_000
 
 
 def lattice_count(g: Graph, t: int) -> int:
-    """Number of integer vectors in [0,t]^n with x_i + x_j <= t per edge.
-
-    Raises SizeError when the count needs more than MAX_COUNT_WORK value
-    iterations.
+    """Number of integer vectors in [0,t]^n with x_i + x_j <= t per edge,
+    as a product over the components of the adjacency masks. Raises
+    SizeError when t is over MAX_COUNT_WORK, before any work, or when the
+    count needs more than MAX_COUNT_WORK value iterations.
     """
     if t < 0:
         raise ParameterError("dilation factor must be >= 0")
-    stripped, isolated = strip_isolated(g)
-    total = (t + 1) ** isolated
+    if t > MAX_COUNT_WORK:  # an edge alone spends t + 1; edgeless parts spend none
+        raise SizeError(f"dilation factor {t} is over MAX_COUNT_WORK = {MAX_COUNT_WORK}")
+    total = 1
     work_left = MAX_COUNT_WORK
-    for comp in connected_components(stripped):
-        count, work_left = _count_connected(comp, t, work_left)
+    for comp in component_masks(g.adj, (1 << g.n) - 1):
+        count, work_left = _count_connected(g.adj, comp, t, work_left)
         total *= count
     return total
 
 
-def _vertex_order(g: Graph) -> list:
-    """Greedy order that keeps few distinct bounds among the unplaced vertices.
+def _vertex_order(adj, comp: int) -> list:
+    """Greedy order of component `comp` keeping few distinct unplaced bounds.
 
     An unplaced vertex u is bounded by t - max(values on N(u) & placed), so
     unplaced vertices with the same placed neighbourhood share one bound.
@@ -52,21 +54,20 @@ def _vertex_order(g: Graph) -> list:
 
     def cost(v):
         now = placed | 1 << v
-        touched = [
-            g.adj[u] & now for u in range(g.n) if g.adj[u] & now and not now >> u & 1
-        ]
-        ties = (-(g.adj[v] & placed).bit_count(), -g.degree(v), v)
+        touched = [adj[u] & now for u in _bits(comp) if adj[u] & now and not now >> u & 1]
+        ties = (-(adj[v] & placed).bit_count(), -adj[v].bit_count(), v)
         return (len(set(touched)), len(touched), *ties)
 
-    for _ in range(g.n):
-        best = min((v for v in range(g.n) if not placed >> v & 1), key=cost)
+    for _ in range(comp.bit_count()):
+        best = min(_bits(comp & ~placed), key=cost)
         order.append(best)
         placed |= 1 << best
     return order
 
 
-def _count_connected(g: Graph, t: int, work_left: int) -> tuple:
-    """(count, work left) by a memoized DP along `_vertex_order`.
+def _count_connected(adj, comp: int, t: int, work_left: int) -> tuple:
+    """(count, work left) on the component `comp` by a memoized DP along
+    `_vertex_order`.
 
     The state at position i is the tuple of bounds of the vertices at
     positions i..n-1, each t minus the largest value on its placed
@@ -74,12 +75,12 @@ def _count_connected(g: Graph, t: int, work_left: int) -> tuple:
     neighbours all lead to the same child state and are counted at once;
     a tail that induces no edge is the product of (bound + 1).
     """
-    n = g.n
-    order = _vertex_order(g)
+    order = _vertex_order(adj, comp)
+    n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     # later[i]: the later neighbours of position i, as indices into state[1:]
     later = [
-        tuple(pos[u] - i - 1 for u in _bits(g.adj[v]) if pos[u] > i)
+        tuple(pos[u] - i - 1 for u in _bits(adj[v]) if pos[u] > i)
         for i, v in enumerate(order)
     ]
     edgeless = [not any(later[i:]) for i in range(n + 1)]
@@ -134,43 +135,42 @@ class HStar:
         return sum(self.coefficients)
 
 
-def ehrhart_fit(g: Graph) -> EhrhartFit:
-    """Interpolate the lattice-count polynomial through its minimal node set."""
+def _dilate_counts(g: Graph) -> tuple:
+    """(parity, counts): L(t) at t = 0..n, or L(2s) at s = 0..n ('even-only')
+    when g is not bipartite."""
     if g.n > MAX_FIT_N:
         raise SizeError(
             f"graph has {g.n} vertices; Ehrhart fitting is capped at {MAX_FIT_N}"
         )
-    nodes = list(range(g.n + 1))
     if bipartition(g) is not None:
-        values = [lattice_count(g, t) for t in nodes]
-        return EhrhartFit(g.n, "integral", interpolate(nodes, values))
-    values = [lattice_count(g, 2 * s) for s in nodes]
-    return EhrhartFit(g.n, "even-only", interpolate(nodes, values))
+        return "integral", [lattice_count(g, t) for t in range(g.n + 1)]
+    return "even-only", [lattice_count(g, 2 * s) for s in range(g.n + 1)]
+
+
+def ehrhart_fit(g: Graph) -> EhrhartFit:
+    """Interpolate the lattice-count polynomial through its minimal node set."""
+    parity, counts = _dilate_counts(g)
+    return EhrhartFit(g.n, parity, interpolate(list(range(g.n + 1)), counts))
 
 
 def ehrhart_volume(g: Graph) -> Fraction:
-    """Leading coefficient of the fit; the even-only route rescales by 2^n."""
-    fit = ehrhart_fit(g)
-    if g.n == 0:
-        return Fraction(1)
-    lead = fit.poly.coeffs[fit.n] if fit.poly.degree == fit.n else Fraction(0)
-    if fit.parity == "even-only":
-        return lead / 2 ** fit.n
-    return lead
+    """Leading coefficient of the counting polynomial: the n-th forward
+    difference of the n + 1 counts over n!, and over 2^n on the even-only
+    route."""
+    parity, counts = _dilate_counts(g)
+    n = g.n
+    difference = sum((-1) ** (n - j) * comb(n, j) * c for j, c in enumerate(counts))
+    return Fraction(difference, factorial(n) * (2**n if parity == "even-only" else 1))
 
 
 def hstar(g: Graph) -> HStar:
     """Numerator coefficients of the Ehrhart series, by the finite binomial
-    transform f_k = sum_j (-1)^j C(n+1, j) L(k-j). Bipartite (integral
-    polytope) graphs only."""
+    transform f_k = sum_j (-1)^j C(n+1, j) L(k-j) of the n + 1 counts.
+    Bipartite (integral polytope) graphs only."""
     if bipartition(g) is None:
         raise MethodNotApplicable("h* numerator requires a bipartite graph")
-    if g.n > MAX_FIT_N:
-        raise SizeError(
-            f"graph has {g.n} vertices; h* extraction is capped at {MAX_FIT_N}"
-        )
+    _, counts = _dilate_counts(g)
     n = g.n
-    counts = [lattice_count(g, t) for t in range(n + 1)]
     coeffs = tuple(
         sum((-1) ** j * comb(n + 1, j) * counts[k - j] for j in range(k + 1))
         for k in range(n + 1)

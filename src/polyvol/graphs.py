@@ -83,25 +83,6 @@ def join_graphs(g: Graph, h: Graph) -> Graph:
     return from_edges(g.n + h.n, edges)
 
 
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph, labels compacted in increasing original order."""
-    vs = sorted(vertices)
-    relabel = {v: k for k, v in enumerate(vs)}
-    edges = [
-        (relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel
-    ]
-    return from_edges(len(vs), edges)
-
-
-def strip_isolated(g: Graph):
-    """Drop all degree-0 vertices (each contributes a volume factor of 1).
-
-    Returns (stripped graph, number of vertices removed).
-    """
-    keep = [v for v in range(g.n) if g.adj[v]]
-    return induced_subgraph(g, keep), g.n - len(keep)
-
-
 def component_masks(adj, mask: int):
     """Vertex-set bitmasks of the connected components inside `mask`."""
     out = []
@@ -119,12 +100,6 @@ def component_masks(adj, mask: int):
         out.append(comp)
         remaining &= ~comp
     return out
-
-
-def connected_components(g: Graph):
-    """Maximal connected induced subgraphs, as relabeled Graphs."""
-    full = (1 << g.n) - 1
-    return [induced_subgraph(g, list(_bits(m))) for m in component_masks(g.adj, full)]
 
 
 def bipartition(g: Graph) -> Optional[tuple]:

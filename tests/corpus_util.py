@@ -39,3 +39,37 @@ def bipartite_corpus_upto(total: int = 10, count: int = 10, seed_offset=1):
         ]
         out.append(from_edges(a + b, edges))
     return out
+
+
+def strip_isolated(g: Graph):
+    """Drop all degree-0 vertices, relabelling the rest in increasing order.
+
+    Returns (stripped graph, number of vertices removed). The kernels skip
+    isolated vertices on their own; this rebuilt graph is their oracle.
+    """
+    keep = [v for v in range(g.n) if g.adj[v]]
+    relabel = {v: k for k, v in enumerate(keep)}
+    edges = [(relabel[u], relabel[v]) for u, v in g.edges()]
+    return from_edges(len(keep), edges), g.n - len(keep)
+
+
+def scattered_corpus(count: int = 40, seed_offset=11):
+    """Graphs of 3-10 vertices with 1-3 isolated vertices scattered among
+    the labels. Every other core is bipartite with two sides of equal size
+    (a perfect matching plus random cross edges), so both sides of each
+    component tie; the others are G(m, p) cores of any bipartiteness."""
+    rng = random.Random(MASTER_SEED + seed_offset)
+    out = []
+    for k in range(count):
+        if k % 2:
+            a = rng.randint(1, 3)
+            edges = [(i, a + j) for i in range(a) for j in range(a)
+                     if i == j or rng.random() < 0.4]
+            core = from_edges(2 * a, edges)
+        else:
+            core = random_graph(rng, rng.randint(2, 7), p=rng.choice((0.3, 0.6)))
+        n = core.n + rng.randint(1, 3)
+        label = list(range(n))
+        rng.shuffle(label)
+        out.append(from_edges(n, [(label[u], label[v]) for u, v in core.edges()]))
+    return out

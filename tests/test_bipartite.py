@@ -11,6 +11,7 @@ from polyvol import (
     MethodNotApplicable,
     SizeError,
     alpha_profile,
+    bipartition,
     from_edges,
     from_graph,
     graph_from_dsl,
@@ -66,6 +67,26 @@ def test_from_graph_strips_isolated():
     b = from_graph(graph_from_dsl("null:4"))
     assert b.n == 0 and b.neighborhoods == ()
     assert perm_volume(b) == 1
+
+
+def test_from_graph_breaks_a_tie_toward_the_lowest_vertex():
+    # sides {0, 2} and {1, 3} tie; the one holding vertex 0 becomes V1
+    want = BipartiteGraph(2, (frozenset({0, 1}), frozenset({1})))
+    assert from_graph(graph_from_dsl("path:4")) == want
+    # isolated vertices 0 and 5 sit on side A but count toward neither side
+    assert from_graph(graph_from_dsl("edges:6:1-2,2-3,3-4")) == want
+
+
+def test_from_graph_ignores_scattered_isolated_vertices():
+    ties = 0
+    for g in corpus_util.scattered_corpus():
+        sides = bipartition(g)
+        if sides is None:
+            continue
+        a, b = ({v for v in side if g.adj[v]} for side in sides)
+        ties += len(a) == len(b) > 0
+        assert from_graph(g) == from_graph(corpus_util.strip_isolated(g)[0]), g.edges()
+    assert ties >= 10
 
 
 def test_empty_neighborhoods_dropped_on_construction():

@@ -77,6 +77,13 @@ def test_count_over_the_work_budget_fails_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_count_of_a_huge_dilation_of_an_edgeless_graph_exits_one(capsys):
+    # the count would have over 4300 digits, past Python's int-to-str limit
+    code, out, err = run(capsys, "count", "null:63", "1" + "0" * 100)
+    assert (code, out) == (1, "") and "MAX_COUNT_WORK" in err
+    assert "Traceback" not in err
+
+
 def test_sliced(capsys):
     code, out, _ = run(capsys, "sliced", "join(null:1,null:1)")
     assert code == 0 and out == "-1/2 + 2*c - c^2"

@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction as F
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,7 +11,6 @@ from polyvol import (
     MethodNotApplicable,
     Polynomial,
     SizeError,
-    connected_components,
     ehrhart_fit,
     ehrhart_volume,
     from_edges,
@@ -19,10 +19,10 @@ from polyvol import (
     hstar_volume,
     lattice_count,
     rvf_volume,
-    strip_isolated,
 )
-from polyvol.ehrhart import MAX_FIT_N
-from polyvol.graphs import _bits
+from polyvol import ehrhart
+from polyvol.ehrhart import MAX_COUNT_WORK, MAX_FIT_N
+from polyvol.graphs import _bits, component_masks
 
 
 def enumerate_count_oracle(g, t):
@@ -76,8 +76,6 @@ def test_count_null_graph():
 
 def test_count_brute_force_cross_check():
     # independent oracle: full enumeration of [0,t]^n
-    from itertools import product
-
     rng = random.Random(5)
     for _ in range(6):
         g = corpus_util.random_graph(rng, rng.randint(1, 4))
@@ -103,8 +101,11 @@ def oracle_corpus():
 
 def test_count_matches_enumeration_oracle():
     graphs = oracle_corpus()
-    assert any(strip_isolated(g)[1] for g in graphs)
-    assert any(len(connected_components(strip_isolated(g)[0])) > 1 for g in graphs)
+    assert any(corpus_util.strip_isolated(g)[1] for g in graphs)
+    assert any(
+        len(component_masks(h.adj, (1 << h.n) - 1)) > 1
+        for h in (corpus_util.strip_isolated(g)[0] for g in graphs)
+    )
     for g in graphs:
         for t in (0, 1, 2, 5, 9):
             assert lattice_count(g, t) == enumerate_count_oracle(g, t), (g, t)
@@ -121,6 +122,23 @@ def test_count_closed_forms_at_large_t():
             one_high = sum((t - v + 1) ** (n - 1) for v in range(t // 2 + 1, t + 1))
             want = (t // 2 + 1) ** n + n * one_high
             assert lattice_count(graph_from_dsl(f"complete:{n}"), t) == want
+
+
+def test_isolated_vertices_multiply_the_count_by_t_plus_one():
+    graphs = corpus_util.scattered_corpus()
+    for g in graphs:
+        stripped, isolated = corpus_util.strip_isolated(g)
+        assert isolated > 0
+        for t in (0, 1, 3, 6):
+            assert lattice_count(g, t) == (t + 1) ** isolated * lattice_count(stripped, t)
+
+
+def test_dilation_over_the_work_budget_fails_before_counting():
+    # an edgeless graph spends no work, so only the bound on t stops it
+    assert lattice_count(graph_from_dsl("null:1"), MAX_COUNT_WORK) == MAX_COUNT_WORK + 1
+    for dsl in ("null:1", "null:63", "path:2"):
+        with pytest.raises(SizeError, match="MAX_COUNT_WORK"):
+            lattice_count(graph_from_dsl(dsl), MAX_COUNT_WORK + 1)
 
 
 def test_count_invariant_under_relabeling():
@@ -168,6 +186,67 @@ def test_volume_examples():
     assert ehrhart_volume(graph_from_dsl("kbip:2,2")) == F(1, 6)
     g5 = graph_from_dsl("cycle:5")
     assert ehrhart_volume(g5) == rvf_volume(g5) == F(5, 48)
+
+
+def all_graphs_up_to(n_max):
+    """Every labelled graph on 0..n_max vertices."""
+    for n in range(n_max + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for keep in product((False, True), repeat=len(pairs)):
+            yield from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def test_volume_is_the_fits_leading_coefficient():
+    graphs = list(all_graphs_up_to(4))
+    assert len(graphs) == 76 and graphs[0].n == 0
+    for g in graphs:
+        fit = ehrhart_fit(g)
+        lead = fit.poly.coeffs[g.n] if fit.poly.degree == g.n else F(0)
+        if fit.parity == "even-only":
+            lead /= 2**g.n
+        assert ehrhart_volume(g) == lead, g.edges()
+
+
+def counted_dilates(monkeypatch):
+    """Patch ehrhart.lattice_count to record the dilates it is called at."""
+    seen = []
+    count = ehrhart.lattice_count
+
+    def recording(g, t):
+        seen.append(t)
+        return count(g, t)
+
+    monkeypatch.setattr(ehrhart, "lattice_count", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "dsl, nodes", [("path:3", [0, 1, 2, 3]), ("cycle:3", [0, 2, 4, 6])]
+)
+@pytest.mark.parametrize("function", [ehrhart_fit, ehrhart_volume])
+def test_fit_and_volume_count_once_per_node(monkeypatch, function, dsl, nodes):
+    seen = counted_dilates(monkeypatch)
+    function(graph_from_dsl(dsl))
+    assert seen == nodes
+
+
+def test_hstar_counts_once_per_node_and_not_on_an_odd_cycle(monkeypatch):
+    seen = counted_dilates(monkeypatch)
+    hstar(graph_from_dsl("path:3"))
+    assert seen == [0, 1, 2, 3]
+    seen.clear()
+    with pytest.raises(MethodNotApplicable):
+        hstar(graph_from_dsl("cycle:3"))
+    assert seen == []
+
+
+def test_nothing_is_counted_past_the_fit_cap(monkeypatch):
+    seen = counted_dilates(monkeypatch)
+    g = graph_from_dsl(f"path:{MAX_FIT_N + 1}")
+    for function in (ehrhart_fit, ehrhart_volume, hstar):
+        with pytest.raises(SizeError):
+            function(g)
+    assert seen == []
 
 
 def test_hstar_examples():

@@ -5,17 +5,18 @@ from polyvol import (
     DSLError,
     FamilySpec,
     ParameterError,
+    BipartiteGraph,
     bipartition,
     build_family,
-    connected_components,
     from_edges,
     graph_from_dsl,
+    from_graph,
     join_graphs,
+    lattice_count,
     parse_spec,
     rvf_volume,
-    strip_isolated,
 )
-from polyvol.graphs import FAMILIES, parse_edge_list
+from polyvol.graphs import FAMILIES, component_masks, parse_edge_list
 
 
 def delete_vertex(g, i):
@@ -92,37 +93,45 @@ def test_join_completes_gives_complete():
     assert joined.edges() == graph_from_dsl("complete:5").edges()
 
 
-def test_strip_isolated_null():
-    g, count = strip_isolated(graph_from_dsl("null:5"))
-    assert g.n == 0 and count == 5
+def test_kernels_read_a_null_graph_as_isolated_vertices():
+    g = graph_from_dsl("null:5")
+    assert corpus_util.strip_isolated(g)[1] == 5
+    assert from_graph(g) == BipartiteGraph(0, ())
+    assert [lattice_count(g, t) for t in (0, 1, 3)] == [1, 2**5, 4**5]
 
 
-def test_strip_isolated_leftover_endpoints():
-    g, count = strip_isolated(delete_vertex(graph_from_dsl("path:3"), 1))
-    assert g.n == 0 and count == 2
+def test_kernels_drop_leftover_endpoints():
+    g = delete_vertex(graph_from_dsl("path:3"), 1)
+    assert corpus_util.strip_isolated(g)[1] == 2
+    assert from_graph(g) == BipartiteGraph(0, ())
+    assert [lattice_count(g, t) for t in (0, 1, 3)] == [1, 2**2, 4**2]
 
 
-def test_strip_isolated_no_op_and_idempotent():
-    g = graph_from_dsl("complete:3")
-    stripped, count = strip_isolated(g)
-    assert count == 0 and stripped.edges() == g.edges()
-    again, count2 = strip_isolated(stripped)
-    assert count2 == 0 and again.edges() == stripped.edges()
+def test_kernels_without_isolated_vertices_match_the_stripped_graph():
+    for dsl in ("complete:3", "path:4", "kbip:2,3"):
+        g = graph_from_dsl(dsl)
+        stripped, count = corpus_util.strip_isolated(g)
+        assert count == 0 and stripped == g
+        for t in (1, 4):
+            assert lattice_count(g, t) == lattice_count(stripped, t)
+        if bipartition(g) is not None:
+            assert from_graph(g) == from_graph(stripped)
 
 
 def test_components_of_broken_path():
-    comps = connected_components(delete_vertex(graph_from_dsl("path:3"), 1))
-    assert [c.n for c in comps] == [1, 1]
+    g = delete_vertex(graph_from_dsl("path:3"), 1)
+    assert component_masks(g.adj, 0b11) == [0b01, 0b10]
 
 
 def test_cycle_is_one_component():
-    assert len(connected_components(graph_from_dsl("cycle:5"))) == 1
+    g = graph_from_dsl("cycle:5")
+    assert component_masks(g.adj, 0b11111) == [0b11111]
 
 
 def test_two_disjoint_paths():
     g = from_edges(4, [(0, 1), (2, 3)])
-    comps = connected_components(g)
-    assert len(comps) == 2 and all(c.edges() == [(0, 1)] for c in comps)
+    assert component_masks(g.adj, 0b1111) == [0b0011, 0b1100]
+    assert component_masks(g.adj, 0b1011) == [0b0011, 0b1000]
 
 
 def test_bipartition_of_even_cycle():
