@@ -7,31 +7,33 @@ identity that falls out of the complete-bipartite computation.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import MethodNotApplicable, ParameterError, SizeError
 from .graphs import FamilySpec
 
-# Largest zigzag index euler_numbers computes: the table costs O(N^2) big-integer
-# products, and the slowest `families` range, path 0..MAX_FAMILY_N, takes about
-# a second.
+# Largest zigzag index euler_numbers computes: the triangle costs O(N^2)
+# big-integer additions, about 0.03 s at N = 500.
 MAX_FAMILY_N = 500
 
 
 def euler_numbers(n_max: int):
     """Zigzag numbers E_0..E_N: 1, 1, 1, 2, 5, 16, 61, ...
 
-    Generated by the convolution recurrence 2*E_{k+1} = sum_i C(k,i) E_i E_{k-i}.
+    Read off the Seidel boustrophedon triangle: each row is the running
+    sum of the previous row reversed, from 0, and E_k ends row k.
     """
     if n_max < 0:
         raise ParameterError("need N >= 0")
     if n_max > MAX_FAMILY_N:
         raise SizeError(f"zigzag index {n_max} exceeds MAX_FAMILY_N = {MAX_FAMILY_N}")
     e = [1]
-    for k in range(n_max):
-        total = sum(comb(k, i) * e[i] * e[k - i] for i in range(k + 1))
-        e.append(total // 2 if k else 1)
-    return e[: n_max + 1]
+    row = [1]
+    for _ in range(n_max):
+        row = list(accumulate(reversed(row), initial=0))
+        e.append(row[-1])
+    return e
 
 
 def path_volume(n: int, zigzag=None) -> Fraction:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from polyvol import ehrhart_fit, graph_from_dsl
 from polyvol.bipartite import MAX_PERM_SIDE
 from polyvol.cli import EXACT, main
 
@@ -75,6 +76,18 @@ def test_count_over_the_work_budget_fails_fast(capsys):
     code, _, err = run(capsys, "count", "path:30", "1000000")
     assert code == 1 and "MAX_COUNT_WORK" in err
     assert time.perf_counter() - start < 5
+
+
+def test_count_of_a_large_dilation_within_the_table_is_exact_and_fast(capsys):
+    # cycle:5 has one component of at most MAX_FIT_N vertices: the table
+    # counts t = 10^6 from the dilates up to 11 and Newton's differences
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "cycle:5", "1000000")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    fit = ehrhart_fit(graph_from_dsl("cycle:5"))
+    assert fit.parity == "even-only" and int(out) == fit.poly(500_000)
+    assert out == "104167447919062503750003000001"
 
 
 def test_count_of_a_huge_dilation_of_an_edgeless_graph_exits_one(capsys):

@@ -32,6 +32,20 @@ def test_zigzag_prefix():
     assert euler_numbers(10) == [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 
 
+def zigzag_by_convolution(n_max):
+    """E_0..E_N by the recurrence 2 E_{k+1} = sum_i C(k, i) E_i E_{k-i}."""
+    e = [1]
+    for k in range(n_max):
+        total = sum(comb(k, i) * e[i] * e[k - i] for i in range(k + 1))
+        e.append(total // 2 if k else 1)
+    return e
+
+
+def test_euler_numbers_match_the_convolution_recurrence():
+    for n_max in (0, 1, 2, 7, 300):
+        assert euler_numbers(n_max) == zigzag_by_convolution(n_max)
+
+
 def test_zigzag_index_past_the_bound_fails_at_once():
     with pytest.raises(SizeError, match="MAX_FAMILY_N"):
         euler_numbers(MAX_FAMILY_N + 1)

@@ -21,8 +21,9 @@ from polyvol import (
     rvf_volume,
 )
 from polyvol import ehrhart
+from polyvol.cli import main
 from polyvol.ehrhart import MAX_COUNT_WORK, MAX_FIT_N
-from polyvol.graphs import _bits, component_masks
+from polyvol.graphs import _bits, bipartition, component_masks
 
 
 def enumerate_count_oracle(g, t):
@@ -122,6 +123,120 @@ def test_count_closed_forms_at_large_t():
             one_high = sum((t - v + 1) ** (n - 1) for v in range(t // 2 + 1, t + 1))
             want = (t // 2 + 1) ** n + n * one_high
             assert lattice_count(graph_from_dsl(f"complete:{n}"), t) == want
+
+
+def test_table_extrapolates_closed_forms_far_out():
+    for t in (2001, 5000):
+        for n in range(1, MAX_FIT_N + 1):
+            assert lattice_count(graph_from_dsl(f"null:{n}"), t) == (t + 1) ** n
+        for m in (1, 3, 6, MAX_FIT_N - 1):
+            star = sum((t - v + 1) ** m for v in range(t + 1))
+            assert lattice_count(graph_from_dsl(f"kbip:1,{m}"), t) == star
+        for n in (2, 3, 5, 8, MAX_FIT_N):
+            one_high = sum((t - v + 1) ** (n - 1) for v in range(t // 2 + 1, t + 1))
+            want = (t // 2 + 1) ** n + n * one_high
+            assert lattice_count(graph_from_dsl(f"complete:{n}"), t) == want
+
+
+def test_table_matches_the_frontier_dp():
+    # both parities, and t past 2k + 1, where the table extrapolates
+    rng = random.Random(corpus_util.MASTER_SEED + 7)
+    for n in range(1, MAX_FIT_N + 1):
+        for p in (0.25, 0.6):
+            g = corpus_util.random_graph(rng, n, p=p)
+            for comp in component_masks(g.adj, (1 << n) - 1):
+                k = comp.bit_count()
+                for t in range(2 * k + 6):
+                    want, _ = ehrhart._count_connected(g.adj, comp, t, 10**9)
+                    assert ehrhart._count_table(g.adj, comp, t) == want, (g, comp, t)
+
+
+def transfer_count(n, t, closed):
+    """Lattice points of path:n (or cycle:n) at t by the transfer matrix
+    M[a][b] = [a + b <= t] over the values of consecutive vertices."""
+    if closed:  # the trace of M^n, one start value at a time
+        return sum(transfer_walks(n, t, start)[start] for start in range(t + 1))
+    return sum(transfer_walks(n - 1, t, None))
+
+
+def transfer_walks(steps, t, start):
+    """Walks of `steps` steps by value, from `start` or from every value."""
+    row = [1 if start is None or a == start else 0 for a in range(t + 1)]
+    for _ in range(steps):
+        row = [sum(row[: t - b + 1]) for b in range(t + 1)]
+    return row
+
+
+def test_frontier_dp_counts_paths_and_cycles_past_the_table():
+    for n in (MAX_FIT_N + 1, 12, 15):
+        for t in range(7):
+            assert lattice_count(graph_from_dsl(f"path:{n}"), t) == transfer_count(n, t, False)
+            assert lattice_count(graph_from_dsl(f"cycle:{n}"), t) == transfer_count(n, t, True)
+    for n in (3, 4, 7):
+        for t in (0, 1, 5):
+            assert lattice_count(graph_from_dsl(f"cycle:{n}"), t) == transfer_count(n, t, True)
+
+
+def test_table_values_fit_int64():
+    # the table holds counts at r <= 2k + 1, each at most (2k + 2)^k
+    assert (2 * MAX_FIT_N + 2) ** MAX_FIT_N < 2**63
+
+
+def test_pair_tables_are_read_only_and_depend_only_on_k():
+    tables = [ehrhart._pairs(k) for k in range(MAX_FIT_N + 1)]
+    assert sum(a.nbytes for arrays in tables for a in arrays) < 1.5 * 2**20
+    for k, (us, ts, starts) in enumerate(tables):
+        assert len(us) == 3**k and len(starts) == 2**k
+        assert not (us & ts).any()
+        assert not any(a.flags.writeable for a in (us, ts, starts))
+
+
+def recorded_dp_calls(monkeypatch):
+    """Patch ehrhart._count_connected to record the components it counts."""
+    seen = []
+    count = ehrhart._count_connected
+
+    def recording(adj, comp, t, work_left):
+        seen.append(comp)
+        return count(adj, comp, t, work_left)
+
+    monkeypatch.setattr(ehrhart, "_count_connected", recording)
+    return seen
+
+
+def test_fit_volume_hstar_and_count_never_reach_the_frontier_dp(monkeypatch, capsys):
+    seen = recorded_dp_calls(monkeypatch)
+    assert main(["count", f"path:{MAX_FIT_N}", "1000"]) == 0
+    assert main(["ehrhart", f"cycle:{MAX_FIT_N}"]) == 0
+    capsys.readouterr()
+    rng = random.Random(corpus_util.MASTER_SEED + 8)
+    graphs = [graph_from_dsl(dsl) for dsl in ("null:0", "kbip:5,5", f"complete:{MAX_FIT_N}")]
+    graphs += [corpus_util.random_graph(rng, n, p=0.4) for n in range(1, MAX_FIT_N + 1)]
+    for g in graphs:
+        ehrhart_fit(g)
+        ehrhart_volume(g)
+        if bipartition(g) is not None:
+            hstar(g)
+        for t in (0, 1, 7, 30, 10**6):
+            lattice_count(g, t)
+    # two components of MAX_FIT_N vertices each, past the fit cap
+    k = MAX_FIT_N
+    pair = from_edges(2 * k, [(v, v + 1) for v in range(2 * k - 1) if v != k - 1])
+    assert lattice_count(pair, 4) == transfer_count(k, 4, False) ** 2
+    assert seen == []
+
+
+def test_components_past_the_table_go_to_the_frontier_dp(monkeypatch):
+    seen = recorded_dp_calls(monkeypatch)
+    n = MAX_FIT_N + 1
+    path = [(v, v + 1) for v in range(n - 1)]
+    assert lattice_count(from_edges(n, path), 3) == transfer_count(n, 3, False)
+    assert seen == [(1 << n) - 1]
+    seen.clear()
+    # the same path after two isolated vertices
+    shifted = from_edges(n + 2, [(u + 2, v + 2) for u, v in path])
+    assert lattice_count(shifted, 3) == 16 * transfer_count(n, 3, False)
+    assert seen == [((1 << n) - 1) << 2]
 
 
 def test_isolated_vertices_multiply_the_count_by_t_plus_one():
@@ -306,6 +421,8 @@ def test_count_memo_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         assert lattice_count(graph_from_dsl("cycle:7"), 5) == 21122
+        # a component past MAX_FIT_N goes to the frontier DP and its memo
+        assert lattice_count(graph_from_dsl("cycle:11"), 5) == transfer_count(11, 5, True)
         assert gc.collect() == 0
     finally:
         gc.enable()
