@@ -1,4 +1,10 @@
-"""Exact volumes of graph polytopes by several independent methods."""
+"""Exact volumes of graph polytopes by several independent methods.
+
+numpy and mpmath are imported inside the kernels that use them (the rvf
+table, the lattice-count table, Monte Carlo and the series), so importing
+the package, and running the exact methods that need neither, loads
+neither.
+"""
 
 from .bipartite import (
     BipartiteGraph,

@@ -45,8 +45,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
-import numpy as np
-
 from .errors import MethodNotApplicable, ParameterError, SizeError
 from .graphs import Graph, bipartition, component_masks, _bits
 from .poly import Polynomial, interpolate
@@ -101,6 +99,8 @@ def _pairs(k):
     of S start at starts[S]. They depend only on k, so they are built once
     per k and kept: 16 * 3^k + 8 * 2^k bytes, 1.4 MiB for every k up to
     MAX_FIT_N together. Nothing returned is writable."""
+    import numpy as np
+
     us, ts, starts = [], [], []
     for s in range(1 << k):
         starts.append(len(us))
@@ -121,6 +121,8 @@ def _count_table(adj, comp: int, t: int) -> int:
     """Count on the component `comp` of k <= MAX_FIT_N vertices by the
     recursion over vertex subsets in the module docstring, in at most
     k + 1 steps whatever t is."""
+    import numpy as np
+
     verts = list(_bits(comp))
     k = len(verts)
     size = 1 << k

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DSLError, ParameterError
+from .errors import DSLError, ParameterError, PolyvolError
 
 MAX_VERTICES = 63
 
@@ -52,6 +52,12 @@ class Graph:
 def _check_vertex_count(n: int):
     if n < 0 or n > MAX_VERTICES:
         raise ParameterError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
+def _is_digits(text: str) -> bool:
+    """True for one or more ASCII digits. str.isdigit alone also takes '²',
+    which int() rejects, and '٣', which int() reads as 3."""
+    return text.isascii() and text.isdigit()
 
 
 def _bits(mask: int):
@@ -249,7 +255,7 @@ class _Parser:
 
     def integer(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while _is_digits(self.peek()):
             self.pos += 1
         if start == self.pos:
             self.fail("expected an integer")
@@ -276,7 +282,7 @@ class _Parser:
             n = self.integer()
             self.expect(":")
             pairs = []
-            if self.peek().isdigit():
+            if _is_digits(self.peek()):
                 while True:
                     u = self.integer()
                     self.expect("-")
@@ -317,7 +323,7 @@ def parse_edge_list(text: str) -> Graph:
         raise DSLError("empty edge-list input", line=1, column=1)
     lineno, header = rows[0]
     fields = header.split()
-    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+    if len(fields) != 2 or not all(map(_is_digits, fields)):
         raise DSLError("header must be 'n m'", line=lineno, column=1)
     n, m = int(fields[0]), int(fields[1])
     if len(rows) - 1 != m:
@@ -327,7 +333,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for lineno, ln in rows[1:]:
         fields = ln.split()
-        if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
+        if len(fields) != 2 or not all(_is_digits(f.removeprefix("-")) for f in fields):
             raise DSLError("edge line must be 'u v'", line=lineno, column=1)
         u, v = int(fields[0]), int(fields[1])
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -337,5 +343,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """Parse the edge-list file at `path`; a file that cannot be read as
+    UTF-8 text raises PolyvolError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise PolyvolError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PolyvolError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_edge_list(text)

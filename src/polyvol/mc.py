@@ -25,8 +25,6 @@ bit.
 
 import math
 
-import numpy as np
-
 from .errors import ParameterError, SizeError
 from .graphs import Graph, _bits
 
@@ -78,6 +76,8 @@ def mc_volume(g: Graph, samples: int, seed: int):
         )
     if not edges:
         return 1.0, 0.0  # every point of the cube is inside
+    import numpy as np
+
     plan = _draw_plan(g)
     rng = np.random.default_rng(seed)
     rows = _CHUNK_VALUES // g.n

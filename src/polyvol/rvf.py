@@ -34,8 +34,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-import numpy as np
-
 from .errors import SizeError
 from .graphs import Graph
 
@@ -51,6 +49,8 @@ def _layers(n):
     of n vertices: sets lists the C(n, k) sets of the layer, and column j
     of the (k, C(n, k)) arrays verts and subs holds the vertices of
     sets[j] and sets[j] less each of them. Nothing returned is writable."""
+    import numpy as np
+
     order = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable")
     layers = []
     start = 1
@@ -72,6 +72,8 @@ def _layers(n):
 
 def _dense_weight(g: Graph) -> int:
     """W(V) over the table of all 2^n subsets, for n <= DENSE_N."""
+    import numpy as np
+
     adj = np.array(g.adj, dtype=np.int64)
     w = np.empty(1 << g.n, dtype=np.int64)
     w[0] = 1

@@ -9,8 +9,7 @@ relation on a grid. Everything here is floating point by design; the
 exact modules never depend on it.
 """
 
-import numpy as np
-from mpmath import mp
+from __future__ import annotations
 
 from .closed import cycle_volume
 from .errors import ParameterError, SizeError
@@ -41,6 +40,8 @@ def series_partial(n: int, terms: int):
         raise ParameterError("need at least one term")
     if terms > MAX_SERIES_TERMS:
         raise SizeError(f"{terms} terms exceed MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         bits = mp.prec + 64
         one = 1 << bits
@@ -59,18 +60,24 @@ def series_target(n: int):
     if n < 2:
         raise ParameterError("series diverges absolutely for n < 2")
     v = cycle_volume(n)  # accepts n = 2 as the formula's extension
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         return mp.pi ** n * mp.mpf(v.numerator) / v.denominator / 2 ** n
 
 
 def series_tail_bound(n: int, terms: int):
     """Integral-comparison bound on the truncation error after pairing."""
+    from mpmath import mp
+
     with mp.workdps(WORKING_DPS):
         return mp.mpf(2) / (4 * terms) ** (n - 1)
 
 
 def _cumtrapz(rows: np.ndarray, h: float) -> np.ndarray:
     """Cumulative trapezoid integral along axis 0, starting at 0."""
+    import numpy as np
+
     steps = (rows[:-1] + rows[1:]) * (h / 2)
     out = np.zeros_like(rows)
     np.cumsum(steps, axis=0, out=out[1:])
@@ -88,6 +95,8 @@ def trace_quadrature(n: int, grid: int) -> float:
         raise ParameterError("trace identity needs n >= 2")
     if grid < 100:
         raise ParameterError("grid must be at least 100")
+    import numpy as np
+
     h = 1.0 / grid
     t = np.linspace(0.0, 1.0, grid + 1)
     kernel = (t[:, None] + t[None, :] <= 1.0 + 1e-12).astype(float)
@@ -104,6 +113,8 @@ def eigen_residual(k: int, grid: int) -> float:
         raise ParameterError("eigenfunction index limited to |k| <= 5")
     if grid < 1000:
         raise ParameterError("grid must be at least 1000")
+    import numpy as np
+
     h = 1.0 / grid
     t = np.linspace(0.0, 1.0, grid + 1)
     freq = np.pi * (4 * k + 1) / 2

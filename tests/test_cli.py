@@ -256,8 +256,17 @@ def test_file_input(capsys, tmp_path):
     assert code == 0 and out == "1/3 (≈ 0.333333)"
 
 
+def test_unreadable_files_exit_one(capsys, tmp_path):
+    binary = tmp_path / "latin1.txt"
+    binary.write_bytes(b"3 1\n0 1 \xff\n")
+    for path in (tmp_path / "missing.txt", tmp_path, binary):
+        code, out, err = run(capsys, "volume", f"file:{path}")
+        assert (code, out) == (1, "") and err.startswith("error: ") and str(path) in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "volume", "nonsense:4")[0] == 1
+    assert run(capsys, "volume", "path:²")[0] == 1
     assert run(capsys, "volume", "path:4", "--method", "bogus")[0] == 1
     assert run(capsys, "families", "path", "4")[0] == 1
     assert run(capsys, "count", "path:3", "-1")[0] == 1

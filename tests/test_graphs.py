@@ -194,9 +194,12 @@ def test_composite_specs_are_checked_when_made():
 
 
 def test_dsl_error_carries_column():
-    with pytest.raises(DSLError) as err:
-        parse_spec("path:x")
-    assert err.value.column == 6
+    # numbers are ASCII digits: str.isdigit() also takes '²', which int()
+    # rejects, and '٣', which int() reads as 3
+    for text, column in (("path:x", 6), ("path:²", 6), ("path:٣", 6), ("edges:3:0-²", 11)):
+        with pytest.raises(DSLError) as err:
+            parse_spec(text)
+        assert err.value.column == column, text
 
 
 def test_dsl_rejects_unknown_family():
@@ -218,8 +221,12 @@ def test_edge_list_errors_carry_line():
     with pytest.raises(DSLError) as err:
         parse_edge_list("3 2\n0 1\n1 9\n")
     assert err.value.line == 3
-    with pytest.raises(DSLError):
-        parse_edge_list("nonsense\n")
+    for text, line in (
+        ("nonsense\n", 1), ("3 1\n0 ²\n", 2), ("3 1\n٠ 1\n", 2), ("\n³ 0\n", 2), ("3 1\n--1 2\n", 2)
+    ):
+        with pytest.raises(DSLError) as err:
+            parse_edge_list(text)
+        assert err.value.line == line, text
 
 
 def test_adjacency_validation():

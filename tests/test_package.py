@@ -1,8 +1,83 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import polyvol
+from polyvol.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Calls whose kernels are exact integer or rational arithmetic, and one usage error.
+EXACT_CALLS = (
+    ["volume", "kbip:3,4"],
+    ["volume", "path:6"],
+    ["volume", "kbip:2,3", "--method", "perm"],
+    ["volume", "kbip:2,2", "--method", "sym"],
+    ["sliced", "njoin(2,null:2)"],
+    ["families", "path", "1..5"],
+    ["volume", "path:4", "--method", "bogus"],
+)
+# Calls whose kernels use numpy or mpmath.
+FLOAT_CALLS = (
+    ["volume", "cycle:5", "--method", "rvf"],
+    ["count", "path:3", "2"],
+    ["volume", "path:4", "--method", "mc", "--samples", "1000"],
+    ["series", "3", "--terms", "10"],
+)
+
+# Runs each call through main() in one fresh interpreter and prints, as JSON,
+# the (exit code, stdout) of each and the heavy libraries loaded after the
+# exact calls and after all of them.
+PROBE = """
+import contextlib, io, json, sys
+
+import polyvol.cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = polyvol.cli.main(argv)
+    return code, out.getvalue()
+
+def loaded():
+    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+
+exact_calls, float_calls = json.loads(sys.argv[1])
+after_import = loaded()
+exact = [call(argv) for argv in exact_calls]
+after_exact = loaded()
+floats = [call(argv) for argv in float_calls]
+print(json.dumps({
+    "file": polyvol.cli.__file__,
+    "after_import": after_import,
+    "exact": exact,
+    "after_exact": after_exact,
+    "floats": floats,
+    "after_floats": loaded(),
+}))
+"""
 
 
 def test_all_lists_only_functions_and_classes():
     for name in polyvol.__all__:
         assert not isinstance(getattr(polyvol, name), ModuleType), name
+
+
+def test_exact_commands_load_neither_numpy_nor_mpmath(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps([EXACT_CALLS, FLOAT_CALLS])],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert Path(report["file"]).resolve().is_relative_to(SRC)
+    assert report["after_import"] == []
+    assert report["after_exact"] == []
+    assert report["after_floats"] == ["numpy", "mpmath"]
+    results = report["exact"] + report["floats"]
+    assert [code for code, _ in results] == [0] * 6 + [1] + [0] * 4
+    for argv, result in zip(EXACT_CALLS + FLOAT_CALLS, results):
+        assert result == [main(argv), capsys.readouterr().out], argv
