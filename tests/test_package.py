@@ -10,8 +10,8 @@ from polyvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Calls whose kernels are exact integer or rational arithmetic, and one usage error.
-EXACT_CALLS = (
+# Calls whose kernels need only the standard library, and one usage error.
+STDLIB_CALLS = (
     ["volume", "kbip:3,4"],
     ["volume", "path:6"],
     ["volume", "kbip:2,3", "--method", "perm"],
@@ -21,7 +21,7 @@ EXACT_CALLS = (
     ["volume", "path:4", "--method", "bogus"],
 )
 # Calls whose kernels use numpy or mpmath.
-FLOAT_CALLS = (
+LIBRARY_CALLS = (
     ["volume", "cycle:5", "--method", "rvf"],
     ["count", "path:3", "2"],
     ["volume", "path:4", "--method", "mc", "--samples", "1000"],
@@ -30,7 +30,7 @@ FLOAT_CALLS = (
 
 # Runs each call through main() in one fresh interpreter and prints, as JSON,
 # the (exit code, stdout) of each and the heavy libraries loaded after the
-# exact calls and after all of them.
+# standard-library calls and after all of them.
 PROBE = """
 import contextlib, io, json, sys
 
@@ -45,18 +45,18 @@ def call(argv):
 def loaded():
     return [name for name in ("numpy", "mpmath") if name in sys.modules]
 
-exact_calls, float_calls = json.loads(sys.argv[1])
+stdlib_calls, library_calls = json.loads(sys.argv[1])
 after_import = loaded()
-exact = [call(argv) for argv in exact_calls]
-after_exact = loaded()
-floats = [call(argv) for argv in float_calls]
+stdlib = [call(argv) for argv in stdlib_calls]
+after_stdlib = loaded()
+library = [call(argv) for argv in library_calls]
 print(json.dumps({
     "file": polyvol.cli.__file__,
     "after_import": after_import,
-    "exact": exact,
-    "after_exact": after_exact,
-    "floats": floats,
-    "after_floats": loaded(),
+    "stdlib": stdlib,
+    "after_stdlib": after_stdlib,
+    "library": library,
+    "after_library": loaded(),
 }))
 """
 
@@ -66,18 +66,18 @@ def test_all_lists_only_functions_and_classes():
         assert not isinstance(getattr(polyvol, name), ModuleType), name
 
 
-def test_exact_commands_load_neither_numpy_nor_mpmath(capsys):
+def test_stdlib_commands_load_neither_numpy_nor_mpmath(capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps([EXACT_CALLS, FLOAT_CALLS])],
+        [sys.executable, "-c", PROBE, json.dumps([STDLIB_CALLS, LIBRARY_CALLS])],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     report = json.loads(done.stdout)
     assert Path(report["file"]).resolve().is_relative_to(SRC)
     assert report["after_import"] == []
-    assert report["after_exact"] == []
-    assert report["after_floats"] == ["numpy", "mpmath"]
-    results = report["exact"] + report["floats"]
+    assert report["after_stdlib"] == []
+    assert report["after_library"] == ["numpy", "mpmath"]
+    results = report["stdlib"] + report["library"]
     assert [code for code, _ in results] == [0] * 6 + [1] + [0] * 4
-    for argv, result in zip(EXACT_CALLS + FLOAT_CALLS, results):
+    for argv, result in zip(STDLIB_CALLS + LIBRARY_CALLS, results):
         assert result == [main(argv), capsys.readouterr().out], argv
