@@ -18,6 +18,7 @@ from .graphs import (
     FAMILIES,
     FamilySpec,
     Graph,
+    _is_digits,
     bipartition,  # unused here, but bench/pvbench/tracing.py wraps cli.bipartition
     build_family,
     load_edge_list,
@@ -42,6 +43,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer argument: ASCII digits after at
+    most one leading '-'. int() alone also reads '٣', '1_000' and '+3'."""
+    if not _is_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _resolve_graph(text: str):
@@ -86,6 +95,8 @@ EXACT = {
     "sym": lambda spec, g: symmetric_volume(from_graph(g)),
     "ehrhart": lambda spec, g: ehrhart_volume(g),
 }
+# The names crosscheck --methods takes; volume --method also takes auto.
+METHODS = (*EXACT, "mc")
 
 
 def _auto_volume(spec, graph: Graph):
@@ -98,45 +109,37 @@ def _auto_volume(spec, graph: Graph):
     return "rvf", EXACT["rvf"](spec, graph)
 
 
+def _run(method, spec, graph, args):
+    """(method that ran, result, text) of one method, `auto` or a name in
+    METHODS: an exact method's result is a Fraction, mc's (estimate, stderr)."""
+    if method == "mc":
+        estimate, stderr = mc_volume(graph, args.samples, args.seed)
+        return method, (estimate, stderr), f"{estimate:.6f} ± {stderr:.6f}"
+    if method == "auto":
+        method, value = _auto_volume(spec, graph)
+    else:
+        value = EXACT[method](spec, graph)
+    return method, value, format_rational(value)
+
+
 def _emit(args, text, payload):
     print(json.dumps(payload) if args.json else text)
 
 
 def _cmd_volume(args) -> int:
     spec, graph = _resolve_graph(args.graph)
-    method = args.method
+    method, result, text = _run(args.method, spec, graph, args)
+    payload = {"command": "volume", "graph": args.graph, "method": method}
     if method == "mc":
-        estimate, stderr = mc_volume(graph, args.samples, args.seed)
-        _emit(
-            args,
-            f"{estimate:.6f} ± {stderr:.6f}",
-            {
-                "command": "volume",
-                "graph": args.graph,
-                "method": "mc",
-                "estimate": estimate,
-                "stderr": stderr,
-                "samples": args.samples,
-                "seed": args.seed,
-            },
-        )
-        return 0
-    if method == "auto":
-        method, value = _auto_volume(spec, graph)
+        estimate, stderr = result
+        payload.update(estimate=estimate, stderr=stderr, samples=args.samples, seed=args.seed)
     else:
-        value = EXACT[method](spec, graph)
-    _emit(
-        args,
-        format_rational(value),
-        {
-            "command": "volume",
-            "graph": args.graph,
-            "method": method,
-            "numerator": str(value.numerator),
-            "denominator": str(value.denominator),
-            "decimal": approx_decimal(value),
-        },
-    )
+        payload.update(
+            numerator=str(result.numerator),
+            denominator=str(result.denominator),
+            decimal=approx_decimal(result),
+        )
+    _emit(args, text, payload)
     return 0
 
 
@@ -234,28 +237,19 @@ def _cmd_crosscheck(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ParameterError("no methods given")
-    for method in methods:
-        if method != "mc" and method not in EXACT:
+    for i, method in enumerate(methods):
+        if method not in METHODS:
             raise ParameterError(f"unknown method {method!r}")
-    rows = []
-    exact_values = []
-    mc_row = None
-    for method in methods:
-        if method == "mc":
-            estimate, stderr = mc_volume(graph, args.samples, args.seed)
-            mc_row = (estimate, stderr)
-            rows.append(("mc", f"{estimate:.6f} ± {stderr:.6f}"))
-        else:
-            value = EXACT[method](spec, graph)
-            exact_values.append((method, value))
-            rows.append((method, format_rational(value)))
-    agree = len({v for _, v in exact_values}) <= 1
-    if agree and mc_row is not None and exact_values:
-        reference = float(exact_values[0][1])
-        band = 4 * mc_row[1]
-        agree = abs(mc_row[0] - reference) <= max(band, 1e-12)
-    width = max(len(m) for m, _ in rows)
-    lines = [f"{m.ljust(width)}  {v}" for m, v in rows]
+        if method in methods[:i]:
+            raise ParameterError(f"method {method!r} given twice")
+    rows = [_run(method, spec, graph, args) for method in methods]
+    exact = {value for method, value, _ in rows if method != "mc"}
+    agree = len(exact) <= 1
+    if agree and exact and "mc" in methods:
+        estimate, stderr = rows[methods.index("mc")][1]
+        agree = abs(estimate - float(exact.pop())) <= max(4 * stderr, 1e-12)
+    width = max(len(m) for m in methods)
+    lines = [f"{m.ljust(width)}  {text}" for m, _, text in rows]
     lines.append("agreement: ok" if agree else "agreement: MISMATCH")
     _emit(
         args,
@@ -263,7 +257,7 @@ def _cmd_crosscheck(args) -> int:
         {
             "command": "crosscheck",
             "graph": args.graph,
-            "results": {m: v for m, v in rows},
+            "results": {m: text for m, _, text in rows},
             "agreement": agree,
         },
     )
@@ -272,9 +266,8 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_families(args) -> int:
     try:
-        lo_text, hi_text = args.range.split("..")
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
+        lo, hi = map(_integer, args.range.split(".."))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ParameterError("range must look like 1..10")
     if hi < lo:
         raise ParameterError("empty range")
@@ -317,14 +310,14 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--method",
         default="auto",
-        choices=["auto", *EXACT, "mc"],
+        choices=["auto", *METHODS],
     )
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_integer, default=100_000)
+    p.add_argument("--seed", type=_integer, default=0)
 
     p = add("count", _cmd_count, "lattice points in the t-dilated polytope")
     p.add_argument("graph")
-    p.add_argument("t", type=int)
+    p.add_argument("t", type=_integer)
 
     p = add("sliced", _cmd_sliced, "symbolic sliced volume on [1/2, 1]")
     p.add_argument("graph", help="join-expression over null graphs")
@@ -333,14 +326,14 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
 
     p = add("series", _cmd_series, "partial sums of the trace series")
-    p.add_argument("n", type=int)
-    p.add_argument("--terms", type=int, default=1000)
+    p.add_argument("n", type=_integer)
+    p.add_argument("--terms", type=_integer, default=1000)
 
     p = add("crosscheck", _cmd_crosscheck, "run several methods and compare")
     p.add_argument("graph")
     p.add_argument("--methods", default="rvf,ehrhart,mc")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_integer, default=100_000)
+    p.add_argument("--seed", type=_integer, default=0)
 
     p = add("families", _cmd_families, "closed-form volumes over a range")
     p.add_argument("family")

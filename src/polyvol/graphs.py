@@ -342,14 +342,27 @@ def parse_edge_list(text: str) -> Graph:
     return from_edges(n, edges)
 
 
+# Most bytes load_edge_list reads. The largest valid file, 63 vertices and
+# all 1953 edges, is about 12 KB, so this is generous; without a bound a
+# file such as /dev/zero is read until memory runs out.
+MAX_EDGE_LIST_BYTES = 1 << 20
+
+
 def load_edge_list(path: str) -> Graph:
     """Parse the edge-list file at `path`; a file that cannot be read as
-    UTF-8 text raises PolyvolError naming the path."""
+    UTF-8 text, or is longer than MAX_EDGE_LIST_BYTES, raises PolyvolError
+    naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_EDGE_LIST_BYTES + 1)
     except OSError as exc:
         raise PolyvolError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if len(data) > MAX_EDGE_LIST_BYTES:
+        raise PolyvolError(
+            f"{path} is longer than MAX_EDGE_LIST_BYTES = {MAX_EDGE_LIST_BYTES} bytes"
+        )
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PolyvolError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_edge_list(text)

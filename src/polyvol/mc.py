@@ -68,6 +68,8 @@ def mc_volume(g: Graph, samples: int, seed: int):
     """Hit-rate estimate of vol(P(G)) and its binomial standard error."""
     if samples < 1:
         raise ParameterError("need at least one sample")
+    if seed < 0:
+        raise ParameterError(f"seed {seed} is negative")
     edges = g.edge_count()
     if samples * (1 + g.n + edges) > MAX_MC_WORK:
         raise SizeError(

@@ -6,7 +6,8 @@ import pytest
 
 from polyvol import ehrhart_fit, graph_from_dsl
 from polyvol.bipartite import MAX_PERM_SIDE
-from polyvol.cli import EXACT, main
+from polyvol.cli import EXACT, METHODS, main
+from polyvol.graphs import MAX_EDGE_LIST_BYTES
 
 
 def run(capsys, *argv):
@@ -65,6 +66,30 @@ def test_volume_mc(capsys):
     assert abs(estimate - 0.5) < 0.02
 
 
+def test_negative_seed_exits_one(capsys):
+    # null:3 has no edges, so mc returns before it would seed a generator
+    for graph in ("path:4", "null:3"):
+        for argv in (
+            ("volume", graph, "--method", "mc", "--seed", "-1"),
+            ("crosscheck", graph, "--methods", "mc", "--seed", "-3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and err.startswith("error: seed -"), argv
+
+
+def test_volume_prints_the_text_of_crosschecks_row(capsys):
+    options = ("--samples", "2000", "--seed", "7")
+    code, out, _ = run(
+        capsys, "crosscheck", "kbip:2,3", "--methods", ",".join(METHODS), "--json", *options
+    )
+    rows = json.loads(out)["results"]
+    assert code == 0 and list(rows) == list(METHODS)
+    for method in METHODS:
+        assert run(capsys, "volume", "kbip:2,3", "--method", method, *options) == (
+            0, rows[method], ""
+        ), method
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "cycle:3", "2")
     assert code == 0 and out == "11"
@@ -100,6 +125,14 @@ def test_count_of_a_huge_dilation_of_an_edgeless_graph_exits_one(capsys):
 def test_sliced(capsys):
     code, out, _ = run(capsys, "sliced", "join(null:1,null:1)")
     assert code == 0 and out == "-1/2 + 2*c - c^2"
+    # the named families take the same join expressions as their spelled-out forms
+    for named, joined in (("kbip:2,3", "join(null:2,null:3)"), ("complete:4", "njoin(4,null:1)")):
+        assert run(capsys, "sliced", named) == run(capsys, "sliced", joined), named
+        code, out, _ = run(capsys, "sliced", named, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload.pop("graph") == named
+        code, out, _ = run(capsys, "sliced", joined, "--json")
+        assert code == 0 and json.loads(out) == dict(payload, graph=joined), named
 
 
 def test_sliced_rejects_non_join_expression(capsys):
@@ -188,9 +221,17 @@ def test_crosscheck(capsys):
     assert out.count("5/48") == 2
 
 
-def test_crosscheck_rejects_unknown_methods_before_running_any(capsys):
-    code, out, err = run(capsys, "crosscheck", "cycle:5", "--methods", "perm,bogus")
-    assert code == 1 and "bogus" in err and out == ""
+def test_crosscheck_rejects_unknown_methods_before_running_any(capsys, monkeypatch):
+    from polyvol import cli
+
+    def refuse(*args):
+        raise AssertionError("a method ran")
+
+    for kernel in ("perm_volume", "rvf_volume", "mc_volume"):
+        monkeypatch.setattr(cli, kernel, refuse)
+    for methods, named in (("perm,bogus", "bogus"), ("rvf,perm,perm", "perm"), ("mc,rvf,mc", "mc")):
+        code, out, err = run(capsys, "crosscheck", "cycle:5", "--methods", methods, "--json")
+        assert code == 1 and f"{named!r}" in err and out == "", methods
 
 
 def test_families(capsys):
@@ -264,12 +305,44 @@ def test_unreadable_files_exit_one(capsys, tmp_path):
         assert (code, out) == (1, "") and err.startswith("error: ") and str(path) in err
 
 
+def test_edge_list_files_over_the_size_bound_exit_one(capsys, tmp_path):
+    at_bound = tmp_path / "at_bound.txt"
+    at_bound.write_bytes(b"1 0\n" + b" " * (MAX_EDGE_LIST_BYTES - 4))
+    assert run(capsys, "volume", f"file:{at_bound}")[:2] == (0, "1 (≈ 1.000000)")
+    over = tmp_path / "over.txt"
+    over.write_bytes(b"1 0\n" + b" " * (MAX_EDGE_LIST_BYTES - 3))
+    for path in (over, "/dev/zero"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "volume", f"file:{path}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "") and err.startswith("error: ") and str(path) in err
+        assert "MAX_EDGE_LIST_BYTES" in err and peak < 8 << 20, path
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "volume", "nonsense:4")[0] == 1
     assert run(capsys, "volume", "path:²")[0] == 1
     assert run(capsys, "volume", "path:4", "--method", "bogus")[0] == 1
     assert run(capsys, "families", "path", "4")[0] == 1
     assert run(capsys, "count", "path:3", "-1")[0] == 1
+    # every integer argument is ASCII digits after at most one leading '-'
+    for argv in (
+        ("count", "path:3", "٣"),
+        ("count", "path:3", "+3"),
+        ("count", "path:3", " 3"),
+        ("volume", "path:4", "--method", "mc", "--seed=--1"),
+        ("families", "path", "1..٣"),
+        ("families", "path", "١..3"),
+        ("families", "path", "1..+3"),
+        ("series", "3", "--terms", "١٠"),
+        ("volume", "path:4", "--method", "mc", "--samples", "1_000"),
+        ("crosscheck", "path:4", "--methods", "mc", "--seed", "٣"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(("usage error: ", "error: ")), argv
 
 
 def test_method_not_applicable_exits_two(capsys):
