@@ -1,9 +1,9 @@
 """Exact volumes of graph polytopes by several independent methods.
 
-numpy and mpmath are imported inside the kernels that use them (the rvf
-table, the lattice-count table, Monte Carlo and the series), so importing
-the package, and running the exact methods that need neither, loads
-neither.
+numpy, the one runtime dependency, is imported inside the kernels that use
+it (the rvf table, the lattice-count table, Monte Carlo and the trace
+quadrature), so importing the package, and running the methods that do not
+need it, does not load it. The series check runs on the standard library.
 """
 
 from .bipartite import (

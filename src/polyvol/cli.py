@@ -7,6 +7,7 @@ to the given graph.
 import argparse
 import json
 import sys
+from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
 
 from . import closed
@@ -27,7 +28,7 @@ from .graphs import (
 from .mc import mc_volume
 from .rational import approx_decimal, format_rational
 from .rvf import rvf_volume
-from .series import series_partial, series_target
+from .series import WORKING_DPS, series_partial, series_target
 from .slices import (
     MAX_SLICED_N,
     sliced_complete_bipartite,
@@ -204,11 +205,12 @@ def _cmd_ehrhart(args) -> int:
 def _cmd_series(args) -> int:
     target = series_target(args.n)  # first: it bounds n before the partial sum runs
     partial = series_partial(args.n, args.terms)
-    diff = abs(partial - target)
+    diff = Context(prec=WORKING_DPS).subtract(partial, target).copy_abs()
+    partial, target, diff = map(_decimal_str, (partial, target, diff))
     text = (
-        f"partial sum (K={args.terms}) = {_mpf_str(partial)}\n"
-        f"closed form target        = {_mpf_str(target)}\n"
-        f"absolute difference       = {_mpf_str(diff)}"
+        f"partial sum (K={args.terms}) = {partial}\n"
+        f"closed form target        = {target}\n"
+        f"absolute difference       = {diff}"
     )
     _emit(
         args,
@@ -217,19 +219,21 @@ def _cmd_series(args) -> int:
             "command": "series",
             "n": args.n,
             "terms": args.terms,
-            "partial": _mpf_str(partial),
-            "target": _mpf_str(target),
-            "difference": _mpf_str(diff),
+            "partial": partial,
+            "target": target,
+            "difference": diff,
         },
     )
     return 0
 
 
-def _mpf_str(x) -> str:
-    from mpmath import mp, nstr
-
-    with mp.workdps(30):
-        return nstr(x, 25)
+def _decimal_str(x) -> str:
+    """25 significant digits in mpmath nstr's layout: trailing zeros dropped,
+    fixed notation for decimal exponents -7 to 24 and 'e' notation outside,
+    and '.0' where no point would be printed."""
+    x = Context(prec=25, rounding=ROUND_HALF_UP).normalize(x)
+    mantissa, e, exponent = format(x, "f" if -7 <= x.adjusted() <= 24 else "e").partition("e")
+    return mantissa + ("" if "." in mantissa else ".0") + e + exponent
 
 
 def _cmd_crosscheck(args) -> int:

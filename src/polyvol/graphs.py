@@ -60,6 +60,15 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _dsl_int(text: str, line=None, column=None) -> int:
+    """int(text) of a checked digit string. Past Python's int-to-string digit
+    limit (4300 by default) int() raises ValueError; that becomes a DSLError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DSLError(f"integer of {len(text)} digits is too long", line, column) from None
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -209,6 +218,8 @@ def build_family(spec: FamilySpec) -> Graph:
         return join_graphs(build_family(a), build_family(b))
     if spec.kind == "njoin":
         base = build_family(spec.children[0])
+        if base.n == 0:  # joins of empty graphs stay empty, whatever the multiplier
+            return base
         g = base
         for _ in range(spec.args[0] - 1):
             g = join_graphs(g, base)
@@ -217,6 +228,13 @@ def build_family(spec: FamilySpec) -> Graph:
         return from_edges(spec.args[0], spec.edges)
     family = FAMILIES[spec.kind]
     return from_edges(family.vertex_count(*spec.args), family.edges(*spec.args))
+
+
+# Most join/njoin brackets a spec may sit inside. The parser, FamilySpec.__str__
+# and build_family recurse once per level, and at about 330 levels they ran
+# out of Python's stack; 100 admits a chain of 100 single vertices joined one
+# at a time, which needs 99.
+MAX_DSL_DEPTH = 100
 
 
 class _Parser:
@@ -259,22 +277,25 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        return _dsl_int(self.text[start:self.pos], column=start + 1)
 
-    def spec(self) -> FamilySpec:
+    def spec(self, depth: int = 0) -> FamilySpec:
+        """The spec at self.pos, which sits inside `depth` brackets."""
+        if depth > MAX_DSL_DEPTH:
+            self.fail(f"spec nested deeper than MAX_DSL_DEPTH = {MAX_DSL_DEPTH}")
         kind = self.name()
         if kind == "join":
             self.expect("(")
-            a = self.spec()
+            a = self.spec(depth + 1)
             self.expect(",")
-            b = self.spec()
+            b = self.spec(depth + 1)
             self.expect(")")
             return FamilySpec("join", children=(a, b))
         if kind == "njoin":
             self.expect("(")
             k = self.integer()
             self.expect(",")
-            child = self.spec()
+            child = self.spec(depth + 1)
             self.expect(")")
             return FamilySpec("njoin", args=(k,), children=(child,))
         if kind == "edges":
@@ -325,7 +346,7 @@ def parse_edge_list(text: str) -> Graph:
     fields = header.split()
     if len(fields) != 2 or not all(map(_is_digits, fields)):
         raise DSLError("header must be 'n m'", line=lineno, column=1)
-    n, m = int(fields[0]), int(fields[1])
+    n, m = _dsl_int(fields[0], lineno, 1), _dsl_int(fields[1], lineno, 1)
     if len(rows) - 1 != m:
         raise DSLError(
             f"expected {m} edge lines, found {len(rows) - 1}", line=lineno, column=1
@@ -335,7 +356,7 @@ def parse_edge_list(text: str) -> Graph:
         fields = ln.split()
         if len(fields) != 2 or not all(_is_digits(f.removeprefix("-")) for f in fields):
             raise DSLError("edge line must be 'u v'", line=lineno, column=1)
-        u, v = int(fields[0]), int(fields[1])
+        u, v = _dsl_int(fields[0], lineno, 1), _dsl_int(fields[1], lineno, 1)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise DSLError(f"invalid edge ({u},{v}) for n={n}", line=lineno, column=1)
         edges.append((u, v))

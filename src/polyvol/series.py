@@ -3,18 +3,25 @@
 The integration operator (Tg)(t) = ∫_0^{1-t} g(s) ds has eigenvalues
 2/(pi(4k+1)) with cosine eigenfunctions, which turns the cycle volume
 into the trace identity sum_k 1/(4k+1)^n = pi^n vol(C_n) / 2^n. This
-module evaluates partial sums in extended precision, approximates the
-trace by iterated trapezoid quadrature, and checks the eigenfunction
-relation on a grid. Everything here is floating point by design; the
-exact modules never depend on it.
+module evaluates partial sums as one fixed-point integer and returns
+them, and the closed-form target, as `decimal.Decimal`s of WORKING_DPS
+digits; it approximates the trace by iterated trapezoid quadrature and
+checks the eigenfunction relation on a grid (numpy floats). Everything
+here is approximate by design; the exact modules never depend on it.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from .closed import cycle_volume
 from .errors import ParameterError, SizeError
 
 WORKING_DPS = 50
+# pi to 64 digits. For every n that cycle_volume accepts (n <= 501), pi^n
+# then errs by under 501 * 10^-63 relative, far below 10^-WORKING_DPS.
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
 
 # Most terms series_partial sums. Each term is two integer divisions at about
 # 230 bits, and no term is summed once it floors to 0, so the cost does not grow
@@ -24,15 +31,14 @@ WORKING_DPS = 50
 MAX_SERIES_TERMS = 250_000
 
 
-def series_partial(n: int, terms: int):
-    """sum_{k=-K}^{K} 1/(4k+1)^n with k and -k paired, as an mpf.
+def series_partial(n: int, terms: int) -> Decimal:
+    """sum_{k=-K}^{K} 1/(4k+1)^n with k and -k paired, to WORKING_DPS digits.
 
     Pairing cancels the leading 1/k^n parts for odd n, which is what
     makes the slowly converging n = 2, 3 cases usable. The sum is kept
-    as one fixed-point integer with 64 guard bits below the working
-    precision: each term's floor errs by less than one unit, and a term
-    whose denominators exceed the scale floors to 0, as does every later
-    one, so the loop stops there.
+    as one fixed-point integer of 233 bits: each term's floor errs by
+    less than one unit, and a term whose denominators exceed the scale
+    floors to 0, as does every later one, so the loop stops there.
     """
     if n < 2:
         raise ParameterError("series diverges absolutely for n < 2")
@@ -40,38 +46,32 @@ def series_partial(n: int, terms: int):
         raise ParameterError("need at least one term")
     if terms > MAX_SERIES_TERMS:
         raise SizeError(f"{terms} terms exceed MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
-    from mpmath import mp
-
-    with mp.workdps(WORKING_DPS):
-        bits = mp.prec + 64
-        one = 1 << bits
-        sign = -1 if n % 2 else 1  # 1/(1-4k)^n = (-1)^n / (4k-1)^n
-        total = 0
-        for k in range(1, terms + 1):
-            below = (4 * k - 1) ** n
-            if below > one:
-                break
-            total += one // (4 * k + 1) ** n + sign * (one // below)
-        return mp.mpf((total, -bits)) + 1
+    one = 1 << 233  # the 169 bits that carry 50 digits, plus 64 guard bits
+    sign = -1 if n % 2 else 1  # 1/(1-4k)^n = (-1)^n / (4k-1)^n
+    total = 0
+    for k in range(1, terms + 1):
+        below = (4 * k - 1) ** n
+        if below > one:
+            break
+        total += one // (4 * k + 1) ** n + sign * (one // below)
+    with localcontext() as ctx:
+        ctx.prec = WORKING_DPS
+        return Decimal(total) / one + 1
 
 
-def series_target(n: int):
+def series_target(n: int) -> Decimal:
     """pi^n vol(C_n) / 2^n, the closed-form limit of the partial sums."""
     if n < 2:
         raise ParameterError("series diverges absolutely for n < 2")
     v = cycle_volume(n)  # accepts n = 2 as the formula's extension
-    from mpmath import mp
+    with localcontext() as ctx:
+        ctx.prec = WORKING_DPS
+        return _PI ** n * v.numerator / v.denominator / 2 ** n
 
-    with mp.workdps(WORKING_DPS):
-        return mp.pi ** n * mp.mpf(v.numerator) / v.denominator / 2 ** n
 
-
-def series_tail_bound(n: int, terms: int):
+def series_tail_bound(n: int, terms: int) -> Fraction:
     """Integral-comparison bound on the truncation error after pairing."""
-    from mpmath import mp
-
-    with mp.workdps(WORKING_DPS):
-        return mp.mpf(2) / (4 * terms) ** (n - 1)
+    return Fraction(2, (4 * terms) ** (n - 1))
 
 
 def _cumtrapz(rows: np.ndarray, h: float) -> np.ndarray:

@@ -49,6 +49,16 @@ def test_closed_rejects_a_join_of_empty_null_graphs(capsys):
     assert code == 0 and json.loads(out)["method"] == "perm"
 
 
+def test_njoin_of_an_empty_graph_prints_one_at_once(capsys):
+    for spec in ("njoin(1000000000000,null:0)", "njoin(1000000000000,join(null:0,null:0))"):
+        start = time.perf_counter()
+        assert run(capsys, "volume", spec) == (0, "1 (≈ 1.000000)", ""), spec
+        assert time.perf_counter() - start < 1, spec
+        code, _, err = run(capsys, "volume", spec, "--method", "closed")
+        assert code == 2 and "no closed form" in err
+        assert time.perf_counter() - start < 1, spec
+
+
 def test_volume_json(capsys):
     code, out, _ = run(capsys, "volume", "path:4", "--json")
     payload = json.loads(out)
@@ -328,6 +338,17 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "volume", "path:4", "--method", "bogus")[0] == 1
     assert run(capsys, "families", "path", "4")[0] == 1
     assert run(capsys, "count", "path:3", "-1")[0] == 1
+    assert run(capsys, "crosscheck", "path:3", "--methods", ",") == (1, "", "error: no methods given")
+    assert run(capsys, "families", "path", "5..3") == (1, "", "error: empty range")
+    # a spec nested past MAX_DSL_DEPTH, and an integer past int()'s digit limit
+    for argv in (
+        ("volume", "njoin(1," * 330 + "null:1" + ")" * 330),
+        ("volume", "join(null:0," * 1000 + "null:1" + ")" * 1000),
+        ("volume", "path:" + "9" * 4301),
+        ("volume", "edges:3:0-" + "9" * 4301),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), argv[1][:20]
     # every integer argument is ASCII digits after at most one leading '-'
     for argv in (
         ("count", "path:3", "٣"),

@@ -4,6 +4,7 @@ import corpus_util
 from polyvol import (
     DSLError,
     FamilySpec,
+    Graph,
     ParameterError,
     BipartiteGraph,
     bipartition,
@@ -16,7 +17,10 @@ from polyvol import (
     parse_spec,
     rvf_volume,
 )
-from polyvol.graphs import FAMILIES, component_masks, parse_edge_list
+from polyvol.graphs import MAX_DSL_DEPTH, FAMILIES, component_masks, parse_edge_list
+
+# One more digit than Python's default int-to-string limit lets int() read.
+TOO_LONG = "9" * 4301
 
 
 def delete_vertex(g, i):
@@ -196,10 +200,41 @@ def test_composite_specs_are_checked_when_made():
 def test_dsl_error_carries_column():
     # numbers are ASCII digits: str.isdigit() also takes '²', which int()
     # rejects, and '٣', which int() reads as 3
-    for text, column in (("path:x", 6), ("path:²", 6), ("path:٣", 6), ("edges:3:0-²", 11)):
-        with pytest.raises(DSLError) as err:
+    for text, column, message in (
+        ("path:x", 6, "expected an integer"),
+        ("path:²", 6, "expected an integer"),
+        ("path:٣", 6, "expected an integer"),
+        ("edges:3:0-²", 11, "expected an integer"),
+        ("join(null:2", 12, "expected ','"),
+        (":3", 1, "expected a family name"),
+        # more digits than int() converts
+        (f"path:{TOO_LONG}", 6, "too long"),
+        (f"edges:3:0-{TOO_LONG}", 11, "too long"),
+    ):
+        with pytest.raises(DSLError, match=message) as err:
             parse_spec(text)
         assert err.value.column == column, text
+
+
+def nested(depth, wrap, leaf="null:1"):
+    """`leaf` inside `depth` brackets of `wrap`, e.g. wrap 'njoin(1,'."""
+    return wrap * depth + leaf + ")" * depth
+
+
+def test_dsl_nesting_is_capped_at_its_column():
+    # a chain of 100 single vertices joined one at a time needs 99 levels
+    assert MAX_DSL_DEPTH >= 99
+    assert parse_spec(nested(MAX_DSL_DEPTH, "join(null:1,")).vertex_count() == MAX_DSL_DEPTH + 1
+    for wrap in ("njoin(1,", "join(null:0,"):
+        assert build_family(parse_spec(nested(MAX_DSL_DEPTH, wrap))) == Graph(1, (0,))
+    # `offset`: where, in the bracket one level past the cap, its first spec starts
+    for wrap, offset in (("njoin(1,", 8), ("join(null:0,", 5), ("join(null:1,", 5)):
+        text = nested(MAX_DSL_DEPTH, wrap)
+        assert str(parse_spec(text)) == text
+        for depth in (MAX_DSL_DEPTH + 1, 330, 1000):
+            with pytest.raises(DSLError, match="MAX_DSL_DEPTH") as err:
+                parse_spec(nested(depth, wrap))
+            assert err.value.column == len(wrap) * MAX_DSL_DEPTH + offset + 1, (wrap, depth)
 
 
 def test_dsl_rejects_unknown_family():
@@ -222,7 +257,9 @@ def test_edge_list_errors_carry_line():
         parse_edge_list("3 2\n0 1\n1 9\n")
     assert err.value.line == 3
     for text, line in (
-        ("nonsense\n", 1), ("3 1\n0 ²\n", 2), ("3 1\n٠ 1\n", 2), ("\n³ 0\n", 2), ("3 1\n--1 2\n", 2)
+        ("nonsense\n", 1), ("3 1\n0 ²\n", 2), ("3 1\n٠ 1\n", 2), ("\n³ 0\n", 2), ("3 1\n--1 2\n", 2),
+        ("", 1), (" \n\n\t\n", 1), ("3 2\n0 1\n", 1),
+        (f"{TOO_LONG} 1\n0 1\n", 1), (f"3 1\n0 {TOO_LONG}\n", 2), (f"3 1\n-{TOO_LONG} 1\n", 2),
     ):
         with pytest.raises(DSLError) as err:
             parse_edge_list(text)
@@ -234,6 +271,15 @@ def test_adjacency_validation():
         from_edges(2, [(0, 0)])
     with pytest.raises(ParameterError):
         from_edges(2, [(0, 5)])
+    for adj, message in (
+        ((0,), "adjacency length"),
+        ((0b100, 0), "out of range"),
+        ((0b01, 0), "self-loop"),
+        ((0b10, 0), "not symmetric"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            Graph(2, adj)
+    assert Graph(2, (0b10, 0b01)).edges() == [(0, 1)]
 
 
 def test_random_corpus_graphs_are_valid():

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import mp, nstr
 
 from polyvol import (
     ParameterError,
@@ -13,7 +17,9 @@ from polyvol import (
     series_target,
     trace_quadrature,
 )
-from polyvol.series import MAX_SERIES_TERMS, WORKING_DPS, series_tail_bound
+from polyvol.cli import _decimal_str, main
+from polyvol.closed import cycle_volume
+from polyvol.series import _PI, MAX_SERIES_TERMS, WORKING_DPS, series_tail_bound
 
 
 def series_reference(n, terms):
@@ -28,22 +34,69 @@ def series_reference(n, terms):
 @pytest.mark.parametrize("n", [*range(2, 11), 30, 501])
 def test_fixed_point_sum_matches_the_mpf_reference(n):
     for terms in (1, 10, 1000, 20_000):
-        assert abs(series_partial(n, terms) - series_reference(n, terms)) < 1e-40, terms
+        with mp.workdps(WORKING_DPS):
+            partial = mp.mpf(str(series_partial(n, terms)))
+        assert abs(partial - series_reference(n, terms)) < 1e-40, terms
 
 
 def test_classical_values():
     with mp.workdps(30):
-        assert abs(series_partial(2, 200_000) - mp.pi**2 / 8) < 1e-5
-        assert abs(series_partial(3, 10_000) - mp.pi**3 / 32) < 1e-9
-        assert abs(series_partial(4, 1_000) - mp.pi**4 / 96) < 1e-9
+        assert abs(mp.mpf(str(series_partial(2, 200_000))) - mp.pi**2 / 8) < 1e-5
+        assert abs(mp.mpf(str(series_partial(3, 10_000))) - mp.pi**3 / 32) < 1e-9
+        assert abs(mp.mpf(str(series_partial(4, 1_000))) - mp.pi**4 / 96) < 1e-9
 
 
 def test_targets_match_cycle_volumes():
     with mp.workdps(30):
-        assert abs(series_target(3) - mp.pi**3 / 32) < 1e-25
-        assert abs(series_target(4) - mp.pi**4 / 96) < 1e-25
+        assert abs(mp.mpf(str(series_target(3))) - mp.pi**3 / 32) < 1e-25
+        assert abs(mp.mpf(str(series_target(4))) - mp.pi**4 / 96) < 1e-25
         # n = 2 uses the cycle formula's extension vol(C_2) = 1/2
-        assert abs(series_target(2) - mp.pi**2 / 8) < 1e-25
+        assert abs(mp.mpf(str(series_target(2))) - mp.pi**2 / 8) < 1e-25
+
+
+def test_pi_literal_has_64_correct_digits():
+    with mp.workdps(70):
+        assert len(_PI.as_tuple().digits) == 64
+        assert abs(mp.mpf(str(_PI)) - mp.pi) < mp.mpf(10) ** -63
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30, 501])
+def test_target_matches_the_mpf_closed_form(n):
+    v = cycle_volume(n)
+    with mp.workdps(WORKING_DPS + 20):
+        want = mp.pi**n * v.numerator / v.denominator / 2**n
+        assert abs(mp.mpf(str(series_target(n))) / want - 1) < mp.mpf(10) ** -(WORKING_DPS - 1)
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    # series 2 --terms 1, the benchmark's warm-up call and its light-calls series
+    [(2, 1), (3, 10), (3, 1000), (4, 1000), (5, 1000), (6, 1000)],
+)
+def test_printed_difference_is_right_to_its_last_digit(n, terms):
+    with mp.workdps(WORKING_DPS):
+        diff = abs(series_reference(n, terms) - mp.pi**n * cycle_volume(n) / 2**n)
+    with mp.workdps(30):
+        want = nstr(diff, 25)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["series", str(n), "--terms", str(terms)]) == 0
+    assert out.getvalue().splitlines()[2] == f"absolute difference       = {want}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0", "-0.5", "1", "12300000", "0.1", "1e-7", "1.5e-8", "9.87654321e-8",
+        "1e24", "9.5e24", "1e25", "-3.25e40", "1234567890123456789012345678",
+        "9.99999999999999999999999999", "0.0000009999999999999999999999999",
+        "3.14159265358979323846264338327950", "2.7e-300",
+    ],
+)
+def test_decimal_str_has_nstrs_layout(text):
+    with mp.workdps(60):
+        want = nstr(mp.mpf(text), 25)
+    assert _decimal_str(Decimal(text)) == want
 
 
 def test_parameter_validation():
@@ -68,6 +121,7 @@ def test_terms_bound_admits_the_n2_check_and_rejects_more():
 
 
 def test_tail_bound_invariant():
+    assert series_tail_bound(3, 10) == Fraction(1, 800)
     for n in (2, 3, 4, 5):
         target = series_target(n)
         for terms in (100, 1000):
