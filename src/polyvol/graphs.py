@@ -7,6 +7,7 @@ exact volume methods are exponential and never get near that).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Optional
@@ -336,29 +337,52 @@ def graph_from_dsl(text: str) -> Graph:
     return build_family(parse_spec(text))
 
 
+def _field_columns(line: str) -> list:
+    """1-based columns of the whitespace-separated fields of `line`."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)]
+
+
+def _int_fields(line: str, lineno: int, message: str, sign: str = "") -> tuple:
+    """The two integers on an edge-list line. A line with another number of
+    fields fails with `message` at column 1; a field that is not ASCII digits
+    after an optional `sign` fails with `message`, and a field too long for
+    int() as in _dsl_int, each at the field's own column."""
+    fields = line.split()
+    if len(fields) != 2:
+        raise DSLError(message, line=lineno, column=1)
+    a, b = fields
+    if _is_digits(a.removeprefix(sign)) and _is_digits(b.removeprefix(sign)):
+        try:
+            return int(a), int(b)
+        except ValueError:  # past int()'s digit limit
+            pass
+    # a field is at fault: only now are the columns worth finding
+    columns = _field_columns(line)
+    for field, column in zip(fields, columns):
+        if not _is_digits(field.removeprefix(sign)):
+            raise DSLError(message, line=lineno, column=column)
+    return _dsl_int(a, lineno, columns[0]), _dsl_int(b, lineno, columns[1])
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Edge-list format: first line 'n m', then m lines 'u v' (0-indexed)."""
+    """Edge-list format: first line 'n m', then m lines 'u v' (0-indexed).
+    Errors carry the line and the column of the field at fault."""
     lines = text.splitlines()
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise DSLError("empty edge-list input", line=1, column=1)
     lineno, header = rows[0]
-    fields = header.split()
-    if len(fields) != 2 or not all(map(_is_digits, fields)):
-        raise DSLError("header must be 'n m'", line=lineno, column=1)
-    n, m = _dsl_int(fields[0], lineno, 1), _dsl_int(fields[1], lineno, 1)
+    n, m = _int_fields(header, lineno, "header must be 'n m'")
     if len(rows) - 1 != m:
         raise DSLError(
             f"expected {m} edge lines, found {len(rows) - 1}", line=lineno, column=1
         )
     edges = []
     for lineno, ln in rows[1:]:
-        fields = ln.split()
-        if len(fields) != 2 or not all(_is_digits(f.removeprefix("-")) for f in fields):
-            raise DSLError("edge line must be 'u v'", line=lineno, column=1)
-        u, v = _dsl_int(fields[0], lineno, 1), _dsl_int(fields[1], lineno, 1)
+        u, v = _int_fields(ln, lineno, "edge line must be 'u v'", "-")
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise DSLError(f"invalid edge ({u},{v}) for n={n}", line=lineno, column=1)
+            column = _field_columns(ln)[1 if 0 <= u < n else 0]
+            raise DSLError(f"invalid edge ({u},{v}) for n={n}", line=lineno, column=column)
         edges.append((u, v))
     return from_edges(n, edges)
 

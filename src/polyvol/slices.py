@@ -3,13 +3,16 @@ built from null graphs by joins.
 
 Below c = 1/2 no edge constraint can bind inside [0,c]^n, so the volume
 is just c^n; a SlicedVolume therefore stores only the vertex count and
-the polynomial piece valid on [1/2, 1]. Joins and multiple joins push
-the representation around exactly, via antiderivatives and the
-substitution s -> 1 - s.
+the polynomial piece valid on [1/2, 1]. Joins and multiple joins are one
+exact integral over the part that holds the largest coordinate s: a join
+of m_i copies of each part A_i, n vertices in all, has on [1/2, 1] the piece
+
+    2^-n + ∫_{1/2}^c Σ_i m_i·vol(A_i,·)'(s)·(1-s)^(n-|A_i|) ds.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import ParameterError
 from .poly import Polynomial
@@ -17,9 +20,10 @@ from .poly import Polynomial
 HALF = Fraction(1, 2)
 
 # Most vertices of a graph whose sliced volume is built: the polynomials have
-# degree n and exact rational coefficients. On a 2-core KVM guest kbip:50,50
-# takes 0.07-0.15 s; the slowest admitted spec found, 100 single vertices
-# joined one at a time, join(null:1,join(null:1,...)), takes 3.9-7.2 s.
+# degree n and exact rational coefficients. On a 2-core KVM guest kbip:50,50,
+# kbip:1,99 and complete:100 take about 2 ms; the slowest admitted spec found
+# by a sweep of join chains (parts of 1-10 vertices, either nesting) and njoin
+# nests, 100 single vertices joined one at a time, takes 0.13-0.21 s.
 MAX_SLICED_N = 100
 
 
@@ -46,43 +50,37 @@ def sliced_null(k: int) -> SlicedVolume:
     return SlicedVolume(k, Polynomial.monomial(k))
 
 
-def sliced_join(a: SlicedVolume, b: SlicedVolume) -> SlicedVolume:
-    """Sliced volume of the join, from
-    vol(A+B, c) = ∫_0^c vol(A,·)'(s) · vol(B, min(1-s, c)) ds.
+def _join(parts) -> SlicedVolume:
+    """Sliced volume of the join of m copies of A for each (A, m) in parts:
+    with n the total vertex count, on [1/2, 1]
 
-    The integral splits at s = 1-c (where min switches branch) and at
-    s = 1/2 (where the pieces of A and B switch); each part is an exact
-    polynomial in c.
+        vol(c) = 2^-n + ∫_{1/2}^c Σ m·vol(A,·)'(s)·(1-s)^(n-|A|) ds.
+
+    Every vertex of one copy is adjacent to every vertex of each other copy,
+    so at most one copy has its largest coordinate s above 1/2; each other
+    coordinate then lies below 1 - s < 1/2, where no edge binds. If no
+    largest coordinate lies above 1/2, no edge binds at all: that is 2^-n.
     """
-    one_minus = Polynomial((1, -1))
+    n = sum(m * a.n for a, m in parts)
+    integrand = Polynomial()
+    for a, m in parts:
+        k = n - a.n
+        rest = Polynomial((-1) ** i * comb(k, i) for i in range(k + 1))  # (1-s)^k
+        integrand = integrand + m * a.high.derivative() * rest
+    r = integrand.antiderivative()
+    return SlicedVolume(n, Polynomial.constant(Fraction(1, 2 ** n) - r(HALF)) + r)
 
-    # s in [0, 1-c]: min = c, and vol(A, 1-c) = (1-c)^{a.n}
-    t1 = b.high * one_minus ** a.n
 
-    # s in [1-c, 1/2]: A is on its low piece, B evaluated at 1-s >= 1/2
-    integrand = Polynomial.monomial(a.n - 1, a.n) * b.high.compose_affine(-1, 1)
-    p = integrand.antiderivative()
-    t2 = Polynomial.constant(p(HALF)) - p.compose_affine(-1, 1)
-
-    # s in [1/2, c]: A on its high piece, B at 1-s <= 1/2
-    q = (a.high.derivative() * one_minus ** b.n).antiderivative()
-    t3 = q - Polynomial.constant(q(HALF))
-
-    return SlicedVolume(a.n + b.n, t1 + t2 + t3)
+def sliced_join(a: SlicedVolume, b: SlicedVolume) -> SlicedVolume:
+    """Sliced volume of the join A + B."""
+    return _join([(a, 1), (b, 1)])
 
 
 def sliced_multiple(a: SlicedVolume, m: int) -> SlicedVolume:
-    """m-fold join of A with itself, via
-    vol(mA, ·)'(u) = m (1-u)^{k(m-1)} vol(A, ·)'(u) on [1/2, 1]."""
+    """m-fold join of A with itself."""
     if m < 1:
         raise ParameterError("join multiplicity must be >= 1")
-    k = a.n
-    integrand = m * Polynomial((1, -1)) ** (k * (m - 1)) * a.high.derivative()
-    r = integrand.antiderivative()
-    high = (
-        Polynomial.constant(Fraction(1, 2 ** (m * k)) - r(HALF)) + r
-    )
-    return SlicedVolume(m * k, high)
+    return _join([(a, m)])
 
 
 def sliced_complete_bipartite(m: int, n: int) -> SlicedVolume:

@@ -135,9 +135,19 @@ def test_count_of_a_huge_dilation_of_an_edgeless_graph_exits_one(capsys):
 def test_sliced(capsys):
     code, out, _ = run(capsys, "sliced", "join(null:1,null:1)")
     assert code == 0 and out == "-1/2 + 2*c - c^2"
-    # the named families take the same join expressions as their spelled-out forms
-    for named, joined in (("kbip:2,3", "join(null:2,null:3)"), ("complete:4", "njoin(4,null:1)")):
-        assert run(capsys, "sliced", named) == run(capsys, "sliced", joined), named
+    # the named families take the same join expressions as their spelled-out forms;
+    # 100 single vertices joined one at a time (99 nested joins) must stay far
+    # below the 3-6 s that a join chain of cubic cost takes
+    chain = "join(null:1," * 99 + "null:1" + ")" * 99
+    for named, joined in (
+        ("kbip:2,3", "join(null:2,null:3)"),
+        ("complete:4", "njoin(4,null:1)"),
+        ("complete:100", chain),
+    ):
+        start = time.perf_counter()
+        spelled_out = run(capsys, "sliced", joined)
+        assert time.perf_counter() - start < 1, named
+        assert run(capsys, "sliced", named) == spelled_out, named
         code, out, _ = run(capsys, "sliced", named, "--json")
         payload = json.loads(out)
         assert code == 0 and payload.pop("graph") == named
@@ -253,6 +263,10 @@ def test_families(capsys):
     assert run(capsys, "families", "null", "0..1")[1].splitlines() == [
         "null:0 1 (≈ 1.000000)", "null:1 1 (≈ 1.000000)"
     ]
+    # a range with a negative lower end goes after --, as argparse reads -1..3 as an option
+    code, out, _ = run(capsys, "families", "path", "--", "-1..3")
+    assert code == 0 and out.splitlines()[0] == "path:0 1 (≈ 1.000000)"
+    assert (code, out) == run(capsys, "families", "path", "0..3")[:2]
     code, _, err = run(capsys, "families", "kbip", "1..3")
     assert code == 1 and "null, path, cycle, complete, bn" in err
 

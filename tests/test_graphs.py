@@ -253,17 +253,21 @@ def test_edge_list_roundtrip():
 
 
 def test_edge_list_errors_carry_line():
-    with pytest.raises(DSLError) as err:
-        parse_edge_list("3 2\n0 1\n1 9\n")
-    assert err.value.line == 3
-    for text, line in (
-        ("nonsense\n", 1), ("3 1\n0 ²\n", 2), ("3 1\n٠ 1\n", 2), ("\n³ 0\n", 2), ("3 1\n--1 2\n", 2),
-        ("", 1), (" \n\n\t\n", 1), ("3 2\n0 1\n", 1),
-        (f"{TOO_LONG} 1\n0 1\n", 1), (f"3 1\n0 {TOO_LONG}\n", 2), (f"3 1\n-{TOO_LONG} 1\n", 2),
+    # a line with the wrong number of fields fails at column 1, a bad field at its
+    # own column in the line as read, an invalid edge at u if u is out of range
+    for text, line, column in (
+        ("3 2\n0 1\n1 9\n", 3, 3),
+        ("nonsense\n", 1, 1), ("3 1\n0 ²\n", 2, 3), ("3 1\n٠ 1\n", 2, 1), ("\n³ 0\n", 2, 1),
+        ("3 1\n--1 2\n", 2, 1), ("3 x\n", 1, 3), ("3 1\n0 1 2\n", 2, 1),
+        ("", 1, 1), (" \n\n\t\n", 1, 1), ("3 2\n0 1\n", 1, 1),
+        (f"{TOO_LONG} 1\n0 1\n", 1, 1), (f"3 1\n0 {TOO_LONG}\n", 2, 3),
+        (f"3 1\n-{TOO_LONG} 1\n", 2, 1),
+        ("3 1\n0 5\n", 2, 3), ("3 1\n1 1\n", 2, 3), ("3 1\n 4 1\n", 2, 2), ("3 1\n-1 9\n", 2, 1),
+        ("3 1\n  0\t\t7\n", 2, 6),
     ):
         with pytest.raises(DSLError) as err:
             parse_edge_list(text)
-        assert err.value.line == line, text
+        assert (err.value.line, err.value.column) == (line, column), text
 
 
 def test_adjacency_validation():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from functools import reduce
 from math import comb
 
 import pytest
@@ -15,6 +17,7 @@ from polyvol import (
     sliced_multiple,
     sliced_null,
 )
+from polyvol.slices import SlicedVolume
 
 HALF = F(1, 2)
 
@@ -167,3 +170,55 @@ def test_continuity_and_monotonicity_invariants():
         d = s.high.derivative()
         for point in (HALF, F(3, 4), 1):
             assert d(point) >= 0
+
+
+def three_piece_join(a, b):
+    """The former sliced_join, kept as the oracle. Sliced volume of the join, from
+    vol(A+B, c) = ∫_0^c vol(A,·)'(s) · vol(B, min(1-s, c)) ds.
+
+    The integral splits at s = 1-c (where min switches branch) and at
+    s = 1/2 (where the pieces of A and B switch); each part is an exact
+    polynomial in c.
+    """
+    one_minus = Polynomial((1, -1))
+
+    # s in [0, 1-c]: min = c, and vol(A, 1-c) = (1-c)^{a.n}
+    t1 = b.high * one_minus ** a.n
+
+    # s in [1-c, 1/2]: A is on its low piece, B evaluated at 1-s >= 1/2
+    integrand = Polynomial.monomial(a.n - 1, a.n) * b.high.compose_affine(-1, 1)
+    p = integrand.antiderivative()
+    t2 = Polynomial.constant(p(HALF)) - p.compose_affine(-1, 1)
+
+    # s in [1/2, c]: A on its high piece, B at 1-s <= 1/2
+    q = (a.high.derivative() * one_minus ** b.n).antiderivative()
+    t3 = q - Polynomial.constant(q(HALF))
+
+    return SlicedVolume(a.n + b.n, t1 + t2 + t3)
+
+
+def random_join_expression(rng, n):
+    """(kernel's value, oracle's value) of a random join expression over
+    null:1-4 with n vertices; njoin(m, A) on the oracle side is m - 1
+    three-piece joins of A."""
+    if n == 1 or (n <= 4 and rng.random() < 0.4):
+        return sliced_null(n), sliced_null(n)
+    if rng.random() < 0.4:
+        m = rng.choice([m for m in (1, 2, 3) if n % m == 0])
+        a, a_oracle = random_join_expression(rng, n // m)
+        got, want = sliced_multiple(a, m), reduce(three_piece_join, [a_oracle] * m)
+    else:
+        split = rng.randint(1, n - 1)
+        a, a_oracle = random_join_expression(rng, split)
+        b, b_oracle = random_join_expression(rng, n - split)
+        got, want = sliced_join(a, b), three_piece_join(a_oracle, b_oracle)
+    assert got == want, (got, want)
+    return got, want
+
+
+def test_joins_equal_the_three_piece_oracle_on_random_expressions():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        got, want = random_join_expression(rng, n)
+        assert got == want and got.n == n
