@@ -13,30 +13,29 @@ f(S) = sum_{v in S} f(S - v) / d(S), with vol = f(V1).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import MethodNotApplicable, SizeError
+from .frozen import Frozen
 from .graphs import Graph, bipartition, _bits
 
 # the subset recursion visits 2^n sets of side V1; `auto` uses the same cap
 MAX_PERM_SIDE = 16
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    n: int  # size of side V1, vertices 0..n-1
-    neighborhoods: tuple  # one frozenset per V2-vertex, subset of 0..n-1
+class BipartiteGraph(Frozen):
+    # n: size of side V1, vertices 0..n-1; neighborhoods: one frozenset per
+    # V2-vertex, subset of 0..n-1
+    __slots__ = ("n", "neighborhoods")
 
-    def __post_init__(self):
+    def __init__(self, n: int, neighborhoods: tuple):
+        object.__setattr__(self, "n", n)
         # empty neighborhoods contribute a factor 1 and are dropped up front.
         # Tuples here are made from lists: tuple(generator) allocates one size
         # and frees another, so CPython's per-size free lists of dead tuples
         # grow with every call until a full garbage collection clears them.
-        object.__setattr__(
-            self, "neighborhoods", tuple([s for s in self.neighborhoods if s])
-        )
+        object.__setattr__(self, "neighborhoods", tuple([s for s in neighborhoods if s]))
 
 
 def from_graph(g: Graph) -> BipartiteGraph:

@@ -5,7 +5,6 @@ to the given graph.
 """
 
 import argparse
-import json
 import sys
 from decimal import ROUND_HALF_UP, Context
 from fractions import Fraction
@@ -124,7 +123,11 @@ def _run(method, spec, graph, args):
 
 
 def _emit(args, text, payload):
-    print(json.dumps(payload) if args.json else text)
+    if args.json:
+        import json  # only --json needs it, so a plain call does not load it
+
+        text = json.dumps(payload)
+    print(text)
 
 
 def _cmd_volume(args) -> int:

@@ -40,12 +40,12 @@ frontier DP along a vertex order instead, which may spend at most
 MAX_COUNT_WORK value iterations per call.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
 
 from .errors import MethodNotApplicable, ParameterError, SizeError
+from .frozen import Frozen
 from .graphs import Graph, bipartition, component_masks, _bits
 from .poly import Polynomial, interpolate
 
@@ -245,16 +245,22 @@ def _count_connected(adj, comp: int, t: int, work_left: int) -> tuple:
         del count  # frees the memo now; see rvf_volume
 
 
-@dataclass(frozen=True)
-class EhrhartFit:
-    n: int
-    parity: str  # 'integral' or 'even-only'
-    poly: Polynomial  # in t if integral, in s = t/2 if even-only
+class EhrhartFit(Frozen):
+    # parity: 'integral' or 'even-only'; poly: in t if integral, in s = t/2
+    # if even-only
+    __slots__ = ("n", "parity", "poly")
+
+    def __init__(self, n: int, parity: str, poly: Polynomial):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class HStar:
-    coefficients: tuple  # f_0..f_n of the numerator f(x)
+class HStar(Frozen):
+    __slots__ = ("coefficients",)  # f_0..f_n of the numerator f(x)
+
+    def __init__(self, coefficients: tuple):
+        object.__setattr__(self, "coefficients", coefficients)
 
     def f_at_one(self) -> int:
         return sum(self.coefficients)

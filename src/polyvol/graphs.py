@@ -8,33 +8,42 @@ exact volume methods are exponential and never get near that).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DSLError, ParameterError, PolyvolError
+from .frozen import Frozen
 
 MAX_VERTICES = 63
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple  # adj[i] = bitmask of neighbors of i
+class Graph(Frozen):
+    __slots__ = ("n", "adj")  # adj[i] = bitmask of neighbors of i
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple):
+        _check_vertex_count(n)
+        if len(adj) != n:
             raise ParameterError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        upper = 0  # bits above the diagonal, each checked against its mirror
+        for i, row in enumerate(adj):
             if row & ~full:
                 raise ParameterError(f"vertex {i} has a neighbor out of range")
             if row >> i & 1:
                 raise ParameterError(f"self-loop at vertex {i}")
-            for j in _bits(row):
-                if not self.adj[j] >> i & 1:
+            above = row >> (i + 1)
+            while above:
+                low = above & -above
+                if not adj[i + low.bit_length()] >> i & 1:
                     raise ParameterError("adjacency is not symmetric")
+                above ^= low
+                upper += 1
+        # every bit above the diagonal has its mirror below it, so any other
+        # bit below it makes the total larger than twice the bits above
+        if 2 * upper != sum([row.bit_count() for row in adj]):
+            raise ParameterError("adjacency is not symmetric")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     def edges(self):
         """Edge list as (i, j) pairs with i < j."""
@@ -169,26 +178,26 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A parsed graph spec; its arguments are checked when it is made."""
 
-    kind: str
-    args: tuple = ()
-    children: tuple = ()
-    edges: tuple = ()
+    __slots__ = ("kind", "args", "children", "edges")
 
-    def __post_init__(self):
-        family = FAMILIES.get(self.kind)
+    def __init__(self, kind: str, args: tuple = (), children: tuple = (), edges: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "edges", edges)
+        family = FAMILIES.get(kind)
         if family is not None:
-            if len(self.args) != len(family.minima) or any(
-                a < least for a, least in zip(self.args, family.minima)
+            if len(args) != len(family.minima) or any(
+                a < least for a, least in zip(args, family.minima)
             ):
                 least = ",".join(map(str, family.minima))
-                raise ParameterError(f"{self} is invalid; least is {self.kind}:{least}")
-        elif self.kind not in ("join", "njoin", "explicit"):
-            raise ParameterError(f"unknown family kind {self.kind!r}")
-        elif self.kind == "njoin" and self.args[0] < 1:
+                raise ParameterError(f"{self} is invalid; least is {kind}:{least}")
+        elif kind not in ("join", "njoin", "explicit"):
+            raise ParameterError(f"unknown family kind {kind!r}")
+        elif kind == "njoin" and args[0] < 1:
             raise ParameterError("njoin multiplier must be >= 1")
 
     def vertex_count(self) -> int:

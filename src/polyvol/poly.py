@@ -8,6 +8,7 @@ polynomial is the empty tuple; otherwise the top coefficient is nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -151,18 +152,42 @@ class Polynomial:
 
 def interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
     """Unique polynomial of degree < len(xs) through the given points,
-    by Newton divided differences (exact)."""
+    by Lagrange's formula run on integers (exact).
+
+    With the nodes scaled to integers X_j = D x_j, the values to integers
+    Y_j = E y_j, P(t) = prod_j (t - X_j) and w_j = prod_{k != j} (X_j - X_k),
+    the polynomial is p(x) = q(D x) / (E M), where M = lcm of the w_j and
+
+        q(t) = sum_j Y_j (M / w_j) P(t) / (t - X_j)
+
+    has integer coefficients; each P(t) / (t - X_j) is one synthetic
+    division, so only the len(xs) coefficients of p become Fractions.
+    """
     xs = [Fraction(v) for v in xs]
-    coef = [Fraction(v) for v in ys]
+    ys = [Fraction(v) for v in ys]
     m = len(xs)
     if m != len(ys) or m == 0:
         raise ValueError("need equally many nodes and values, at least one")
     if len(set(xs)) != m:
         raise ValueError("interpolation nodes must be distinct")
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    p = Polynomial.constant(coef[-1])
-    for i in range(m - 2, -1, -1):
-        p = p * Polynomial((-xs[i], 1)) + Polynomial.constant(coef[i])
-    return p
+    d = lcm(*(x.denominator for x in xs))
+    e = lcm(*(y.denominator for y in ys))
+    nodes = [x.numerator * (d // x.denominator) for x in xs]
+    values = [y.numerator * (e // y.denominator) for y in ys]
+    full = [1]  # P(t), lowest degree first
+    for x in nodes:
+        full = [0, *full]
+        for i in range(len(full) - 1):
+            full[i] -= x * full[i + 1]
+    weights = [prod(xj - xk for xk in nodes if xk != xj) for xj in nodes]
+    common = lcm(*weights)
+    q = [0] * m
+    for xj, yj, wj in zip(nodes, values, weights):
+        scale = yj * (common // wj)
+        b = 1  # P(t) / (t - X_j) from the top coefficient down
+        q[m - 1] += scale
+        for i in range(m - 1, 0, -1):
+            b = full[i] + xj * b
+            q[i - 1] += scale * b
+    denominator = e * common
+    return Polynomial([Fraction(c * d**i, denominator) for i, c in enumerate(q)])

@@ -16,10 +16,11 @@ all 2^n subsets, one popcount layer at a time, in an int64 numpy array;
 no component is ever searched for. W is largest on the null graph, where
 it reaches 2^n n!, and every partial row sum is at most the W it makes,
 so the table is exact while 2^n n! < 2^63: 2^16 16! ≈ 1.37e18, while
-2^17 17! ≈ 4.7e19 would overflow. The index tables of a layer (each set,
-the set less each of its vertices, and that vertex) depend only on n;
-they are built once per n and kept, (n + 1) · 2^(n+3) bytes for one n: 0.4 MiB
-at n = 12, 0.9 MiB at 13, 8.5 MiB at 16, and 16 MiB for all n together.
+2^17 17! ≈ 4.7e19 would overflow. The index tables (the popcount order of
+the sets, each set's position in it, and the position of each set less each
+of its vertices) depend only on n; they are built once per n and kept,
+(n + 4) · 2^(n+2) bytes for one n: 0.25 MiB at n = 12, 0.53 MiB at 13,
+5 MiB at 16, and 9.5 MiB for all n together.
 
 From 17 to MAX_RVF_N = 26 vertices a memo over the vertex sets the
 recursion reaches is used instead. There a disconnected set splits into
@@ -45,44 +46,63 @@ DENSE_N = 16
 
 @cache
 def _layers(n):
-    """(sets, subs, verts) for each popcount layer k = 1..n of the subsets
-    of n vertices: sets lists the C(n, k) sets of the layer, and column j
-    of the (k, C(n, k)) arrays verts and subs holds the vertices of
-    sets[j] and sets[j] less each of them. Nothing returned is writable."""
+    """(order, rank, subs) for the subsets of n vertices in popcount order:
+    order[p] is the set at position p, rank[S] the position of the set S,
+    and subs[k - 1], for each layer k = 1..n, a (k, C(n, k)) array whose
+    column j holds the positions of the j-th set of layer k less each of
+    its vertices. Nothing returned is writable."""
     import numpy as np
 
     order = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable")
-    layers = []
+    rank = np.empty_like(order)
+    rank[order] = np.arange(1 << n)
+    subs = []
     start = 1
     for k in range(1, n + 1):
         sets = order[start : start + comb(n, k)]
         start += len(sets)
-        verts = np.empty((k, len(sets)), dtype=np.intp)
+        rows = np.empty((k, len(sets)), dtype=order.dtype)
         rest = sets.copy()
-        for row in verts:
+        for row in rows:
             low = rest & -rest
-            row[:] = np.bitwise_count(low - 1)
+            row[:] = rank.take(sets ^ low)
             rest ^= low
-        subs = sets ^ (1 << verts)
-        for a in (sets, verts, subs):
-            a.flags.writeable = False
-        layers.append((sets, subs, verts))
-    return tuple(layers)
+        subs.append(rows)
+    for a in (order, rank, *subs):
+        a.flags.writeable = False
+    return order, rank, tuple(subs)
 
 
 def _dense_weight(g: Graph) -> int:
-    """W(V) over the table of all 2^n subsets, for n <= DENSE_N."""
+    """W(V) over the table of all 2^n subsets, for n <= DENSE_N, stored in
+    popcount order so that each layer is one slice.
+
+    The vertices isolated in S are iso(S) = S - N(S), N(S) the union of the
+    neighbourhoods of S, and removing any of them leaves the same graph up
+    to isomorphism, so the identity in the module docstring reads
+    W(S) = sum_{v in S} W(S - v) + |iso(S)| W(S - the lowest of iso(S))."""
     import numpy as np
 
-    adj = np.array(g.adj, dtype=np.int64)
-    w = np.empty(1 << g.n, dtype=np.int64)
+    order, rank, subs = _layers(g.n)
+    nbr = np.empty(1 << g.n, dtype=np.int64)
+    nbr[0] = 0
+    for v, a in enumerate(g.adj):
+        np.bitwise_or(nbr[: 1 << v], a, out=nbr[1 << v : 2 << v])
+    iso = order & ~nbr.take(order)
+    isolated = np.bitwise_count(iso)
+    # with no isolated vertex this is S's own position, still 0 in w below
+    fix = rank.take(order ^ (iso & -iso))
+    w = np.zeros(1 << g.n, dtype=np.int64)
     w[0] = 1
-    for sets, subs, verts in _layers(g.n):
-        terms = w.take(subs)
-        met = adj.take(verts)  # the neighbours each vertex has in its set
-        met &= sets
-        terms <<= met == 0
-        w[sets] = terms.sum(axis=0)
+    start = 1
+    for rows in subs:
+        stop = start + rows.shape[1]
+        total = w.take(rows).sum(axis=0)
+        extra = w.take(fix[start:stop])
+        extra *= isolated[start:stop]
+        total += extra
+        w[start:stop] = total
+        start = stop
     return int(w[-1])
 
 

@@ -10,11 +10,11 @@ of m_i copies of each part A_i, n vertices in all, has on [1/2, 1] the piece
     2^-n + ∫_{1/2}^c Σ_i m_i·vol(A_i,·)'(s)·(1-s)^(n-|A_i|) ds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import ParameterError
+from .frozen import Frozen
 from .poly import Polynomial
 
 HALF = Fraction(1, 2)
@@ -27,10 +27,12 @@ HALF = Fraction(1, 2)
 MAX_SLICED_N = 100
 
 
-@dataclass(frozen=True)
-class SlicedVolume:
-    n: int
-    high: Polynomial  # vol(G, c) for c in [1/2, 1]
+class SlicedVolume(Frozen):
+    __slots__ = ("n", "high")  # high: vol(G, c) for c in [1/2, 1]
+
+    def __init__(self, n: int, high: Polynomial):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "high", high)
 
 
 def sliced_eval(s: SlicedVolume, c) -> Fraction:
@@ -44,9 +46,10 @@ def sliced_eval(s: SlicedVolume, c) -> Fraction:
 
 
 def sliced_null(k: int) -> SlicedVolume:
-    """The k-vertex null graph: vol(D_k, c) = c^k everywhere."""
-    if k < 1:
-        raise ParameterError("null factor needs k >= 1")
+    """The k-vertex null graph: vol(D_k, c) = c^k everywhere, the constant 1
+    for k = 0."""
+    if k < 0:
+        raise ParameterError("null factor needs k >= 0")
     return SlicedVolume(k, Polynomial.monomial(k))
 
 

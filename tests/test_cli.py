@@ -155,6 +155,16 @@ def test_sliced(capsys):
         assert code == 0 and json.loads(out) == dict(payload, graph=joined), named
 
 
+def test_sliced_reads_a_null_part_without_vertices_as_volume_does(capsys):
+    for spec, want in (
+        ("null:0", "1"),
+        ("join(null:0,null:2)", "c^2"),
+        ("njoin(3,null:0)", "1"),
+    ):
+        assert run(capsys, "sliced", spec) == (0, want, ""), spec
+        assert run(capsys, "volume", spec) == (0, "1 (≈ 1.000000)", ""), spec
+
+
 def test_sliced_rejects_non_join_expression(capsys):
     code, _, err = run(capsys, "sliced", "path:4")
     assert code == 2 and "not applicable" in err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import corpus_util
@@ -275,15 +277,36 @@ def test_adjacency_validation():
         from_edges(2, [(0, 0)])
     with pytest.raises(ParameterError):
         from_edges(2, [(0, 5)])
-    for adj, message in (
-        ((0,), "adjacency length"),
-        ((0b100, 0), "out of range"),
-        ((0b01, 0), "self-loop"),
-        ((0b10, 0), "not symmetric"),
+    for n, adj, message in (
+        (2, (0,), "adjacency length"),
+        (2, (0b100, 0), "out of range"),
+        (2, (0b01, 0), "self-loop"),
+        (2, (0b10, 0), "not symmetric"),
+        (2, (0, 0b01), "not symmetric"),
+        (3, (0b110, 0b001, 0b000), "not symmetric"),
+        (3, (0b010, 0b101, 0b000), "not symmetric"),
     ):
         with pytest.raises(ParameterError, match=message):
-            Graph(2, adj)
+            Graph(n, adj)
     assert Graph(2, (0b10, 0b01)).edges() == [(0, 1)]
+
+
+def test_adjacency_symmetry_matches_a_per_bit_check():
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        adj = list(from_edges(n, edges).adj)
+        for _ in range(rng.randint(0, 2)):  # flip a few off-diagonal bits
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                adj[i] ^= 1 << j
+        symmetric = all(adj[j] >> i & 1 for i in range(n) for j in range(n) if adj[i] >> j & 1)
+        if symmetric:
+            assert Graph(n, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ParameterError, match="not symmetric"):
+                Graph(n, tuple(adj))
 
 
 def test_random_corpus_graphs_are_valid():

@@ -83,3 +83,30 @@ def test_stdlib_commands_load_neither_numpy_nor_mpmath(capsys):
     assert [code for code, _ in results] == [0] * 6 + [1] + [0] * 4
     for argv, result in zip(STDLIB_CALLS + LIBRARY_CALLS, results):
         assert result == [main(argv), capsys.readouterr().out], argv
+
+
+# Imports polyvol.cli in a fresh interpreter and prints which of the modules
+# that it leaves to the calls needing them are loaded after the import,
+# after a plain call and after a --json call.
+LAZY_PROBE = """
+import contextlib, io, sys
+
+lazy = ("dataclasses", "inspect", "json")
+before = set(sys.modules)
+import polyvol.cli
+stages = [sorted(set(lazy) & (set(sys.modules) - before))]
+for argv in (["volume", "path:3"], ["volume", "path:3", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert polyvol.cli.main(argv) == 0
+    stages.append(sorted(set(lazy) & (set(sys.modules) - before)))
+print(stages)
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_inspect_nor_json():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split("\n")[0] == "[[], [], ['json']]"

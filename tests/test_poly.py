@@ -92,6 +92,41 @@ def test_interpolation_reproduces_samples():
 def test_interpolation_rejects_duplicate_nodes():
     with pytest.raises(ValueError):
         interpolate([0, 0], [1, 2])
+    with pytest.raises(ValueError):
+        interpolate([0, 1], [1])
+
+
+def newton_interpolate(xs, ys) -> Polynomial:
+    """The interpolating polynomial by Newton divided differences, on
+    Fractions throughout: the oracle for interpolate."""
+    xs = [F(v) for v in xs]
+    coef = [F(v) for v in ys]
+    m = len(xs)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    p = Polynomial.constant(coef[-1])
+    for i in range(m - 2, -1, -1):
+        p = p * Polynomial((-xs[i], 1)) + Polynomial.constant(coef[i])
+    return p
+
+
+@given(
+    st.lists(rationals, min_size=1, max_size=9, unique=True).flatmap(
+        lambda xs: st.tuples(st.just(xs), st.lists(rationals, min_size=len(xs), max_size=len(xs)))
+    )
+)
+def test_interpolation_matches_divided_differences(points):
+    xs, ys = points
+    assert interpolate(xs, ys) == newton_interpolate(xs, ys)
+
+
+def test_interpolation_of_lattice_counts_matches_divided_differences():
+    # ehrhart_fit's nodes 0..n with integer counts, up to 11 nodes
+    for m in range(1, 12):
+        xs = list(range(m))
+        ys = [(3 * x + 1) ** (m - 1) - 7 * x for x in xs]
+        assert interpolate(xs, ys) == newton_interpolate(xs, ys)
 
 
 def test_to_string_lowest_degree_first():

@@ -29,9 +29,15 @@ def test_null_slices():
     assert sliced_eval(sliced_null(2), F(1, 4)) == F(1, 16)
 
 
-def test_null_needs_positive_size():
+def test_null_needs_nonnegative_size():
+    empty = sliced_null(0)
+    assert empty == SlicedVolume(0, Polynomial.constant(1))
+    assert sliced_eval(empty, F(1, 4)) == sliced_eval(empty, 1) == 1
+    # a part without vertices leaves a join as it was
+    assert sliced_join(empty, sliced_null(2)) == sliced_null(2)
+    assert sliced_multiple(empty, 3) == empty
     with pytest.raises(ParameterError):
-        sliced_null(0)
+        sliced_null(-1)
 
 
 def test_join_of_singletons():
