@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import MethodNotApplicable, SizeError
-from .frozen import Frozen
+from .frozen import Frozen, set_field
 from .graphs import Graph, bipartition, _bits
 
 # the subset recursion visits 2^n sets of side V1; `auto` uses the same cap
@@ -30,12 +30,12 @@ class BipartiteGraph(Frozen):
     __slots__ = ("n", "neighborhoods")
 
     def __init__(self, n: int, neighborhoods: tuple):
-        object.__setattr__(self, "n", n)
+        set_field(self, "n", n)
         # empty neighborhoods contribute a factor 1 and are dropped up front.
         # Tuples here are made from lists: tuple(generator) allocates one size
         # and frees another, so CPython's per-size free lists of dead tuples
         # grow with every call until a full garbage collection clears them.
-        object.__setattr__(self, "neighborhoods", tuple([s for s in neighborhoods if s]))
+        set_field(self, "neighborhoods", tuple([s for s in neighborhoods if s]))
 
 
 def from_graph(g: Graph) -> BipartiteGraph:

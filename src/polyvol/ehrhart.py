@@ -45,7 +45,7 @@ from functools import cache
 from math import comb, factorial, prod
 
 from .errors import MethodNotApplicable, ParameterError, SizeError
-from .frozen import Frozen
+from .frozen import Frozen, set_field
 from .graphs import Graph, bipartition, component_masks, _bits
 from .poly import Polynomial, interpolate
 
@@ -251,16 +251,16 @@ class EhrhartFit(Frozen):
     __slots__ = ("n", "parity", "poly")
 
     def __init__(self, n: int, parity: str, poly: Polynomial):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "poly", poly)
+        set_field(self, "n", n)
+        set_field(self, "parity", parity)
+        set_field(self, "poly", poly)
 
 
 class HStar(Frozen):
     __slots__ = ("coefficients",)  # f_0..f_n of the numerator f(x)
 
     def __init__(self, coefficients: tuple):
-        object.__setattr__(self, "coefficients", coefficients)
+        set_field(self, "coefficients", coefficients)
 
     def f_at_one(self) -> int:
         return sum(self.coefficients)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DSLError, ParameterError, PolyvolError
-from .frozen import Frozen
+from .frozen import Frozen, set_field
 
 MAX_VERTICES = 63
 
@@ -42,8 +42,8 @@ class Graph(Frozen):
         # bit below it makes the total larger than twice the bits above
         if 2 * upper != sum([row.bit_count() for row in adj]):
             raise ParameterError("adjacency is not symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        set_field(self, "n", n)
+        set_field(self, "adj", adj)
 
     def edges(self):
         """Edge list as (i, j) pairs with i < j."""
@@ -184,10 +184,10 @@ class FamilySpec(Frozen):
     __slots__ = ("kind", "args", "children", "edges")
 
     def __init__(self, kind: str, args: tuple = (), children: tuple = (), edges: tuple = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "edges", edges)
+        set_field(self, "kind", kind)
+        set_field(self, "args", args)
+        set_field(self, "children", children)
+        set_field(self, "edges", edges)
         family = FAMILIES.get(kind)
         if family is not None:
             if len(args) != len(family.minima) or any(

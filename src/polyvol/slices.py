@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ParameterError
-from .frozen import Frozen
+from .frozen import Frozen, set_field
 from .poly import Polynomial
 
 HALF = Fraction(1, 2)
@@ -31,8 +31,8 @@ class SlicedVolume(Frozen):
     __slots__ = ("n", "high")  # high: vol(G, c) for c in [1/2, 1]
 
     def __init__(self, n: int, high: Polynomial):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "high", high)
+        set_field(self, "n", n)
+        set_field(self, "high", high)
 
 
 def sliced_eval(s: SlicedVolume, c) -> Fraction:
