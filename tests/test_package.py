@@ -85,9 +85,9 @@ def test_stdlib_commands_load_neither_numpy_nor_mpmath(capsys):
         assert result == [main(argv), capsys.readouterr().out], argv
 
 
-# Imports polyvol.cli in a fresh interpreter and prints which of the modules
-# that it leaves to the calls needing them are loaded after the import,
-# after a plain call and after a --json call.
+# Prints which of dataclasses, inspect and json a fresh interpreter has
+# loaded after importing polyvol.cli, after a plain call and after a --json
+# call.
 LAZY_PROBE = """
 import contextlib, io, sys
 

@@ -252,3 +252,13 @@ def test_dense_route_memory_includes_its_tables():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 5, 13])
+def test_layer_tables_take_n_plus_4_times_2_to_the_n_plus_2_bytes(n):
+    # the popcount order, its inverse, and n 2^(n-1) positions of sets less
+    # one vertex, 8 bytes each
+    order, rank, subs = rvf._layers(n)
+    assert sum(a.nbytes for a in (order, rank, *subs)) == (n + 4) * 2 ** (n + 2)
+    assert sorted(order.tolist()) == list(range(1 << n))
+    assert all(rank[order[p]] == p for p in range(1 << n))
