@@ -14,7 +14,7 @@ f(S) = sum_{v in S} f(S - v) / d(S), with vol = f(V1).
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import MethodNotApplicable, SizeError
 from .frozen import Frozen, set_field
@@ -104,29 +104,20 @@ def perm_volume(b: BipartiteGraph) -> Fraction:
 
 
 def is_side_symmetric(b: BipartiteGraph) -> bool:
-    """True iff every relabeling of V1 can be matched by a relabeling of V2.
-
-    Checked on transpositions only, which generate the full symmetric
-    group; the condition is multiset equality of the relabeled
-    neighborhoods.
+    """True iff every relabeling of V1 can be matched by a relabeling of V2,
+    i.e. the multiset of neighborhoods is invariant under every permutation
+    of V1. Permutations keep sizes and reach every s-subset from any other,
+    so that holds iff each size class holds every s-subset equally often.
     """
-    baseline = Counter(b.neighborhoods)
-    for i in range(b.n):
-        for j in range(i + 1, b.n):
-            swapped = Counter(
-                frozenset(j if v == i else i if v == j else v for v in hood)
-                for hood in b.neighborhoods
-            )
-            if swapped != baseline:
-                return False
-    return True
+    counts = Counter(b.neighborhoods)
+    size_count = Counter(map(len, b.neighborhoods))
+    return all(
+        count * comb(b.n, len(h)) == size_count[len(h)] for h, count in counts.items()
+    )
 
 
 def symmetric_volume(b: BipartiteGraph) -> Fraction:
     """n! times the identity-ordering cell product; requires symmetry."""
     if not is_side_symmetric(b):
         raise MethodNotApplicable("graph is not side-symmetric")
-    value = _cell_product(alpha_profile(b, list(range(b.n))))
-    for i in range(2, b.n + 1):
-        value *= i
-    return value
+    return _cell_product(alpha_profile(b, list(range(b.n)))) * factorial(b.n)

@@ -27,7 +27,7 @@ from .graphs import (
 from .mc import mc_volume
 from .rational import approx_decimal, format_rational
 from .rvf import rvf_volume
-from .series import WORKING_DPS, series_partial, series_target
+from .series import WORKING_DPS, series_error_bound, series_partial, series_target
 from .slices import (
     MAX_SLICED_N,
     sliced_complete_bipartite,
@@ -209,7 +209,11 @@ def _cmd_series(args) -> int:
     target = series_target(args.n)  # first: it bounds n before the partial sum runs
     partial = series_partial(args.n, args.terms)
     diff = Context(prec=WORKING_DPS).subtract(partial, target).copy_abs()
-    partial, target, diff = map(_decimal_str, (partial, target, diff))
+    err = series_error_bound(args.n, args.terms)
+    # only digits of unit at least 10 err are printed; with none, a bound
+    digits = min(25, diff.adjusted() - err.adjusted() - 1)
+    diff = _decimal_str(diff, digits) if digits > 0 else f"< 1e{(diff + err).adjusted() + 1}"
+    partial, target = map(_decimal_str, (partial, target))
     text = (
         f"partial sum (K={args.terms}) = {partial}\n"
         f"closed form target        = {target}\n"
@@ -230,12 +234,13 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _decimal_str(x) -> str:
-    """25 significant digits in mpmath nstr's layout: trailing zeros dropped,
-    fixed notation for decimal exponents -7 to 24 and 'e' notation outside,
-    and '.0' where no point would be printed."""
-    x = Context(prec=25, rounding=ROUND_HALF_UP).normalize(x)
-    mantissa, e, exponent = format(x, "f" if -7 <= x.adjusted() <= 24 else "e").partition("e")
+def _decimal_str(x, digits=25) -> str:
+    """`digits` significant digits in mpmath nstr's layout: trailing zeros
+    dropped, fixed notation for decimal exponents -7 to 24 at 25 digits and
+    'e' notation outside, and '.0' where no point would be printed."""
+    x = Context(prec=digits, rounding=ROUND_HALF_UP).normalize(x)
+    fixed = -max(digits // 3, 5) < x.adjusted() < digits
+    mantissa, e, exponent = format(x, "f" if fixed else "e").partition("e")
     return mantissa + ("" if "." in mantissa else ".0") + e + exponent
 
 

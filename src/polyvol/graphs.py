@@ -102,10 +102,10 @@ def from_edges(n: int, edges) -> Graph:
 
 def join_graphs(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
-    edges = list(g.edges())
-    edges += [(u + g.n, v + g.n) for u, v in h.edges()]
-    edges += [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
-    return from_edges(g.n + h.n, edges)
+    low = (1 << g.n) - 1
+    high = ((1 << h.n) - 1) << g.n
+    rows = [row | high for row in g.adj] + [row << g.n | low for row in h.adj]
+    return Graph(g.n + h.n, tuple(rows))
 
 
 def component_masks(adj, mask: int):

@@ -12,15 +12,14 @@ identity over all subsets, connected or not:
     W(S) = Σ_{v∈S} (1 + [v has no neighbour in S]) · W(S - v).
 
 Up to DENSE_N = 16 vertices this identity is evaluated bottom-up over
-all 2^n subsets, one popcount layer at a time, in an int64 numpy array;
-no component is ever searched for. W is largest on the null graph, where
-it reaches 2^n n!, and every partial row sum is at most the W it makes,
-so the table is exact while 2^n n! < 2^63: 2^16 16! ≈ 1.37e18, while
-2^17 17! ≈ 4.7e19 would overflow. The index tables (the popcount order of
-the sets, each set's position in it, and the position of each set less each
-of its vertices) depend only on n; they are built once per n and kept,
-(n + 4) · 2^(n+2) bytes for one n: 0.25 MiB at n = 12, 0.53 MiB at 13,
-5 MiB at 16, and 9.5 MiB for all n together.
+all 2^n subsets, one popcount layer at a time, in an int64 numpy array
+holding W(S) at index S; no component is ever searched for. W is largest
+on the null graph, where it reaches 2^n n!, and every partial row sum is
+at most the W it makes, so the table is exact while 2^n n! < 2^63:
+2^16 16! ≈ 1.37e18, while 2^17 17! ≈ 4.7e19 would overflow. The index
+tables (each layer's sets and each set less each of its vertices) are
+kept once built for an n: (n + 2) · 2^(n+2) - 8 bytes, 0.22 MiB at n = 12,
+0.47 MiB at 13, 4.5 MiB at 16, and 8.5 MiB for all n together.
 
 From 17 to MAX_RVF_N = 26 vertices a memo over the vertex sets the
 recursion reaches is used instead. There a disconnected set splits into
@@ -28,7 +27,10 @@ the component C of its lowest vertex and the rest, W(S) = C(|S|, |C|)
 W(C) W(S - C), so each set is decomposed at most once. MAX_RVF_STATES
 caps the memo (about 100 bytes per entry), which bounds the memory of
 graphs with many connected induced subgraphs, such as stars and dense
-graphs, below that vertex count.
+graphs, below that vertex count. The memo holds at least n + 2^d sets,
+d the largest degree (∅, the single vertices, and a vertex of degree d
+with each nonempty set of its neighbours, all connected and so reached),
+and a graph needing more is refused before any work.
 """
 
 from fractions import Fraction
@@ -46,36 +48,32 @@ DENSE_N = 16
 
 @cache
 def _layers(n):
-    """(order, rank, subs) for the subsets of n vertices in popcount order:
-    order[p] is the set at position p, rank[S] the position of the set S,
-    and subs[k - 1], for each layer k = 1..n, a (k, C(n, k)) array whose
-    column j holds the positions of the j-th set of layer k less each of
-    its vertices. Nothing returned is writable."""
+    """The subsets of n vertices, one entry per popcount layer k = 1..n: the
+    layer's sets as increasing bitmasks, and a (k, C(n, k)) array whose
+    column j holds the j-th set less each of its vertices: indices of a
+    table kept by set, (n + 2) 2^(n+2) - 8 bytes in all. Nothing returned
+    is writable."""
     import numpy as np
 
-    order = np.argsort(np.bitwise_count(np.arange(1 << n)), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(1 << n)
-    subs = []
-    start = 1
+    every = np.arange(1 << n)
+    count = np.bitwise_count(every)
+    layers = []
     for k in range(1, n + 1):
-        sets = order[start : start + comb(n, k)]
-        start += len(sets)
-        rows = np.empty((k, len(sets)), dtype=order.dtype)
+        sets = every[count == k]
+        rows = np.empty((k, len(sets)), dtype=sets.dtype)
         rest = sets.copy()
         for row in rows:
             low = rest & -rest
-            row[:] = rank.take(sets ^ low)
+            np.bitwise_xor(sets, low, out=row)
             rest ^= low
-        subs.append(rows)
-    for a in (order, rank, *subs):
-        a.flags.writeable = False
-    return order, rank, tuple(subs)
+        sets.flags.writeable = rows.flags.writeable = False
+        layers.append((sets, rows))
+    return tuple(layers)
 
 
 def _dense_weight(g: Graph) -> int:
-    """W(V) over the table of all 2^n subsets, for n <= DENSE_N, stored in
-    popcount order so that each layer is one slice.
+    """W(V) over the table of all 2^n subsets, for n <= DENSE_N, with W(S)
+    kept at index S.
 
     The vertices isolated in S are iso(S) = S - N(S), N(S) the union of the
     neighbourhoods of S, and removing any of them leaves the same graph up
@@ -83,26 +81,18 @@ def _dense_weight(g: Graph) -> int:
     W(S) = sum_{v in S} W(S - v) + |iso(S)| W(S - the lowest of iso(S))."""
     import numpy as np
 
-    order, rank, subs = _layers(g.n)
-    nbr = np.empty(1 << g.n, dtype=np.int64)
-    nbr[0] = 0
+    every = np.arange(1 << g.n)
+    nbr = np.zeros_like(every)
     for v, a in enumerate(g.adj):
         np.bitwise_or(nbr[: 1 << v], a, out=nbr[1 << v : 2 << v])
-    iso = order & ~nbr.take(order)
+    iso = every & ~nbr
     isolated = np.bitwise_count(iso)
-    # with no isolated vertex this is S's own position, still 0 in w below
-    fix = rank.take(order ^ (iso & -iso))
+    # with no isolated vertex this is S itself, whose W is still 0 below
+    fix = every ^ (iso & -iso)
     w = np.zeros(1 << g.n, dtype=np.int64)
     w[0] = 1
-    start = 1
-    for rows in subs:
-        stop = start + rows.shape[1]
-        total = w.take(rows).sum(axis=0)
-        extra = w.take(fix[start:stop])
-        extra *= isolated[start:stop]
-        total += extra
-        w[start:stop] = total
-        start = stop
+    for sets, rows in _layers(g.n):
+        w[sets] = w.take(rows).sum(axis=0) + w.take(fix.take(sets)) * isolated.take(sets)
     return int(w[-1])
 
 
@@ -129,6 +119,13 @@ def _memo_weight(g: Graph) -> int:
     n = g.n
     budget = MAX_RVF_STATES
     adj = g.adj
+    message = (
+        f"rvf memo passed MAX_RVF_STATES = {budget} vertex sets; "
+        "the graph has too many connected induced subgraphs"
+    )
+    # n + 2^d, d the largest degree, is a lower bound on the memo's size
+    if n + (1 << max([a.bit_count() for a in adj], default=0)) > budget:
+        raise SizeError(message)
     tables = _byte_tables(adj, n)
     memo = {0: 1}
     memo.update((1 << v, 2) for v in range(n))
@@ -162,10 +159,7 @@ def _memo_weight(g: Graph) -> int:
             total *= memo.get(comp) or weight(comp)
             total *= memo.get(rest) or weight(rest)
         if len(memo) >= budget:
-            raise SizeError(
-                f"rvf memo passed MAX_RVF_STATES = {budget} vertex sets; "
-                "the graph has too many connected induced subgraphs"
-            )
+            raise SizeError(message)
         memo[mask] = total
         return total
 

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 import corpus_util
 from polyvol import (
@@ -132,6 +134,59 @@ def test_side_symmetry_examples():
     assert is_side_symmetric(from_graph(graph_from_dsl("kbip:3,4")))
     assert is_side_symmetric(from_graph(graph_from_dsl("bn:3")))
     assert not is_side_symmetric(from_graph(graph_from_dsl("path:4")))
+
+
+def transposition_scan(b: BipartiteGraph) -> bool:
+    """The former side-symmetry test, kept as the oracle: the multiset of
+    neighborhoods unchanged by every transposition of V1, which generate
+    the symmetric group."""
+    baseline = Counter(b.neighborhoods)
+    for i in range(b.n):
+        for j in range(i + 1, b.n):
+            swapped = Counter(
+                frozenset(j if v == i else i if v == j else v for v in hood)
+                for hood in b.neighborhoods
+            )
+            if swapped != baseline:
+                return False
+    return True
+
+
+sides = st.integers(0, 6)
+
+
+@st.composite
+def side_graphs(draw):
+    """Random multisets of neighborhoods of a side of 0-6 vertices."""
+    n = draw(sides)
+    hoods = draw(st.lists(st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())))
+    return BipartiteGraph(n, hoods)
+
+
+@st.composite
+def near_symmetric_side_graphs(draw):
+    """mu_s copies of every s-subset for some sizes s, then perhaps one
+    neighborhood added or one removed."""
+    n = draw(sides)
+    hoods = []
+    for size in range(1, n + 1):
+        hoods += [frozenset(c) for c in combinations(range(n), size)] * draw(st.integers(0, 2))
+    change = draw(st.sampled_from(["none", "add", "remove"]))
+    if change == "add" and n:
+        hoods.append(draw(st.frozensets(st.integers(0, n - 1), min_size=1)))
+    if change == "remove" and hoods:
+        hoods.pop(draw(st.integers(0, len(hoods) - 1)))
+    return BipartiteGraph(n, hoods)
+
+
+@given(side_graphs())
+def test_side_symmetry_matches_the_transposition_scan(b):
+    assert is_side_symmetric(b) == transposition_scan(b)
+
+
+@given(near_symmetric_side_graphs())
+def test_side_symmetry_matches_the_transposition_scan_near_symmetric_sides(b):
+    assert is_side_symmetric(b) == transposition_scan(b)
 
 
 def test_symmetric_volume_examples():

@@ -324,6 +324,13 @@ def test_rvf_state_budget_exits_one(capsys, monkeypatch):
     assert code == 1 and out == "" and "MAX_RVF_STATES" in err
 
 
+def test_rvf_refuses_a_star_past_the_state_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "volume", "kbip:1,20", "--method", "rvf")
+    assert code == 1 and out == "" and "MAX_RVF_STATES = 1048576" in err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n0 1\n1 2\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -97,6 +98,32 @@ def test_join_nulls_matches_complete_bipartite():
 def test_join_completes_gives_complete():
     joined = join_graphs(graph_from_dsl("complete:2"), graph_from_dsl("complete:3"))
     assert joined.edges() == graph_from_dsl("complete:5").edges()
+
+
+def edge_list_join(g, h):
+    """The former join, kept as the oracle: g's edges, h's shifted past g,
+    and every pair across, through from_edges."""
+    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
+    edges += [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
+    return from_edges(g.n + h.n, edges)
+
+
+def test_join_matches_the_edge_list_join():
+    rng = random.Random(corpus_util.MASTER_SEED + 41)
+
+    def random_graph():
+        n, p = rng.randint(0, 12), rng.random()
+        return from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    for _ in range(300):
+        g, h = random_graph(), random_graph()
+        assert join_graphs(g, h) == edge_list_join(g, h)
+    path, cycle = graph_from_dsl("path:40"), graph_from_dsl("cycle:23")
+    assert join_graphs(path, cycle) == edge_list_join(path, cycle)
+    cycle = graph_from_dsl("cycle:24")
+    for join in (join_graphs, edge_list_join):
+        with pytest.raises(ParameterError, match="vertex count 64 outside 0..63"):
+            join(path, cycle)
 
 
 def test_kernels_read_a_null_graph_as_isolated_vertices():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -110,3 +111,12 @@ def test_cli_import_loads_neither_dataclasses_inspect_nor_json():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split("\n")[0] == "[[], [], ['json']]"
+
+
+def test_sources_parse_under_python_3_10():
+    # pyproject.toml admits Python 3.10, whose grammar lacks later syntax
+    # such as except* (3.11)
+    sources = sorted((SRC / "polyvol").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -187,6 +187,22 @@ def test_state_budget_stops_a_star_early(monkeypatch):
     assert peak < 8 * 2**20
 
 
+def test_state_budget_refuses_a_star_before_any_work(monkeypatch):
+    # the memo holds the empty set, the 21 single vertices and the 2^20 - 1
+    # sets of the centre and some leaves; a budget of that many gets past the
+    # check to the byte tables, one fewer stops before them
+    monkeypatch.setattr(rvf, "_byte_tables", None)
+    star = graph_from_dsl("kbip:1,20")
+    monkeypatch.setattr(rvf, "MAX_RVF_STATES", 21 + 2**20 - 1)
+    with pytest.raises(SizeError, match="MAX_RVF_STATES"):
+        memo_volume(star)
+    monkeypatch.setattr(rvf, "MAX_RVF_STATES", 21 + 2**20)
+    with pytest.raises(TypeError):
+        memo_volume(star)
+    # complete:20 needs at least 20 + 2^19 and still runs
+    assert 20 + 2**19 <= rvf.MAX_RVF_STATES
+
+
 def test_memo_is_freed_without_the_cycle_collector():
     # a memo left in a reference cycle lives until the next full collection,
     # so back-to-back calls would hold several memos at once
@@ -255,10 +271,15 @@ def test_dense_route_memory_includes_its_tables():
 
 
 @pytest.mark.parametrize("n", [1, 5, 13])
-def test_layer_tables_take_n_plus_4_times_2_to_the_n_plus_2_bytes(n):
-    # the popcount order, its inverse, and n 2^(n-1) positions of sets less
-    # one vertex, 8 bytes each
-    order, rank, subs = rvf._layers(n)
-    assert sum(a.nbytes for a in (order, rank, *subs)) == (n + 4) * 2 ** (n + 2)
-    assert sorted(order.tolist()) == list(range(1 << n))
-    assert all(rank[order[p]] == p for p in range(1 << n))
+def test_layer_tables_take_n_plus_2_times_2_to_the_n_plus_2_less_8_bytes(n):
+    # the 2^n - 1 nonempty sets and n 2^(n-1) sets less one vertex, 8 bytes each
+    layers = rvf._layers(n)
+    kept = sum(sets.nbytes + rows.nbytes for sets, rows in layers)
+    assert kept == (n + 2) * 2 ** (n + 2) - 8
+    every = [s for sets, _ in layers for s in sets.tolist()]
+    assert every == sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s))
+    for k, (sets, rows) in enumerate(layers, start=1):
+        assert rows.shape == (k, len(sets))
+        assert not sets.flags.writeable and not rows.flags.writeable
+        for j, s in enumerate(sets.tolist()):
+            assert rows[:, j].tolist() == [s ^ 1 << v for v in _bits(s)]

@@ -19,7 +19,13 @@ from polyvol import (
 )
 from polyvol.cli import _decimal_str, main
 from polyvol.closed import cycle_volume
-from polyvol.series import _PI, MAX_SERIES_TERMS, WORKING_DPS, series_tail_bound
+from polyvol.series import (
+    _PI,
+    MAX_SERIES_TERMS,
+    WORKING_DPS,
+    series_error_bound,
+    series_tail_bound,
+)
 
 
 def series_reference(n, terms):
@@ -82,6 +88,59 @@ def test_printed_difference_is_right_to_its_last_digit(n, terms):
     with contextlib.redirect_stdout(out):
         assert main(["series", str(n), "--terms", str(terms)]) == 0
     assert out.getvalue().splitlines()[2] == f"absolute difference       = {want}"
+
+
+def mpf_partial_and_target(n, terms):
+    """The partial sum and its limit by mpf at 120 digits."""
+    with mp.workdps(120):
+        total = sum(mp.mpf(1) / (4 * k + 1) ** n + mp.mpf(1) / (1 - 4 * k) ** n
+                    for k in range(1, terms + 1))
+        return 1 + total, mp.pi**n * cycle_volume(n) / 2**n
+
+
+@pytest.mark.parametrize(
+    "n, terms, want",
+    [
+        (13, 1000, "7.402278842478e-48"),
+        (16, 1000, "3.0812e-56"),
+        (7, 1000, "3.041092673866388471581699e-26"),
+        (30, 1, "4.439051838281402031880142e-26"),
+        (501, 1, "< 1e-60"),
+    ],
+)
+def test_every_printed_difference_digit_matches_mpmath_at_120_digits(n, terms, want):
+    # past the 50 digits the partial sum and target once carried, where the
+    # difference printed 7.42e-48, 0.0 and 25-digit values with a wrong last digit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["series", str(n), "--terms", str(terms)]) == 0
+    got = out.getvalue().splitlines()[2].removeprefix("absolute difference       = ")
+    assert got == want
+    partial, target = mpf_partial_and_target(n, terms)
+    with mp.workdps(120):
+        diff = abs(partial - target)
+        if got.startswith("< "):
+            assert diff < mp.mpf(got[2:])
+        else:
+            digits = len(got.partition("e")[0].replace(".", "").lstrip("0"))
+            assert nstr(diff, digits) == got
+
+
+@pytest.mark.parametrize("digits", [1, 5, 12, 24])
+@pytest.mark.parametrize("text", ["3.041092673866e-26", "0.0000123456789", "7e-48", "123456.75"])
+def test_decimal_str_has_nstrs_layout_at_fewer_digits(text, digits):
+    with mp.workdps(60):
+        want = nstr(mp.mpf(text), digits)
+    assert _decimal_str(Decimal(text), digits) == want
+
+
+def test_error_bound_covers_the_partial_sum_and_the_target():
+    for n, terms in ((2, 10), (3, 1000), (12, 1), (200, 5)):
+        partial, target = mpf_partial_and_target(n, terms)
+        with mp.workdps(120):
+            err = mp.mpf(str(series_partial(n, terms))) - partial
+            err -= mp.mpf(str(series_target(n))) - target
+            assert abs(err) < mp.mpf(str(series_error_bound(n, terms)))
 
 
 @pytest.mark.parametrize(
