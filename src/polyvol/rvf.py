@@ -14,12 +14,13 @@ identity over all subsets, connected or not:
 Up to DENSE_N = 16 vertices this identity is evaluated bottom-up over
 all 2^n subsets, one popcount layer at a time, in an int64 numpy array
 holding W(S) at index S; no component is ever searched for. W is largest
-on the null graph, where it reaches 2^n n!, and every partial row sum is
-at most the W it makes, so the table is exact while 2^n n! < 2^63:
-2^16 16! ≈ 1.37e18, while 2^17 17! ≈ 4.7e19 would overflow. The index
-tables (each layer's sets and each set less each of its vertices) are
-kept once built for an n: (n + 2) · 2^(n+2) - 8 bytes, 0.22 MiB at n = 12,
-0.47 MiB at 13, 4.5 MiB at 16, and 8.5 MiB for all n together.
+on the null graph, where it reaches 2^n n!, and every row sum and
+product that _dense_weight forms is at most the W it makes, so the table
+is exact while 2^n n! < 2^63: 2^16 16! ≈ 1.37e18, while 2^17 17! ≈ 4.7e19
+would overflow. The index tables (each layer's sets and each set less
+each of its vertices) are kept once built for an n: (n + 2) · 2^(n+2) - 8
+bytes, 0.22 MiB at n = 12, 0.47 MiB at 13, 4.5 MiB at 16, and 8.5 MiB for
+all n together.
 
 From 17 to MAX_RVF_N = 26 vertices a memo over the vertex sets the
 recursion reaches is used instead. There a disconnected set splits into
@@ -76,9 +77,11 @@ def _dense_weight(g: Graph) -> int:
     kept at index S.
 
     The vertices isolated in S are iso(S) = S - N(S), N(S) the union of the
-    neighbourhoods of S, and removing any of them leaves the same graph up
-    to isomorphism, so the identity in the module docstring reads
-    W(S) = sum_{v in S} W(S - v) + |iso(S)| W(S - the lowest of iso(S))."""
+    neighbourhoods of S. Removing one of them, u, frees a coordinate, so
+    W(S) = 2|S| W(S - u), while the identity's row sum over v in S of
+    W(S - v) is then (2|S| - |iso(S)|) W(S - u), less than that; with no
+    isolated vertex W(S) is the row sum. So W(S) = max(row sum,
+    2|S| W(S - u)), u the lowest of iso(S)."""
     import numpy as np
 
     every = np.arange(1 << g.n)
@@ -86,13 +89,12 @@ def _dense_weight(g: Graph) -> int:
     for v, a in enumerate(g.adj):
         np.bitwise_or(nbr[: 1 << v], a, out=nbr[1 << v : 2 << v])
     iso = every & ~nbr
-    isolated = np.bitwise_count(iso)
     # with no isolated vertex this is S itself, whose W is still 0 below
     fix = every ^ (iso & -iso)
     w = np.zeros(1 << g.n, dtype=np.int64)
     w[0] = 1
-    for sets, rows in _layers(g.n):
-        w[sets] = w.take(rows).sum(axis=0) + w.take(fix.take(sets)) * isolated.take(sets)
+    for k, (sets, rows) in enumerate(_layers(g.n), start=1):
+        w[sets] = np.maximum(w.take(rows).sum(axis=0), w.take(fix.take(sets)) * (2 * k))
     return int(w[-1])
 
 
