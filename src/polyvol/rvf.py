@@ -14,13 +14,12 @@ identity over all subsets, connected or not:
 Up to DENSE_N = 16 vertices this identity is evaluated bottom-up over
 all 2^n subsets, one popcount layer at a time, in an int64 numpy array
 holding W(S) at index S; no component is ever searched for. W is largest
-on the null graph, where it reaches 2^n n!, and every row sum and
-product that _dense_weight forms is at most the W it makes, so the table
-is exact while 2^n n! < 2^63: 2^16 16! ≈ 1.37e18, while 2^17 17! ≈ 4.7e19
-would overflow. The index tables (each layer's sets and each set less
-each of its vertices) are kept once built for an n: (n + 2) · 2^(n+2) - 8
-bytes, 0.22 MiB at n = 12, 0.47 MiB at 13, 4.5 MiB at 16, and 8.5 MiB for
-all n together.
+on the null graph, where it reaches 2^n n!, and no sum or product formed
+exceeds the W it makes, so the table is exact while 2^n n! < 2^63:
+2^16 16! ≈ 1.37e18, while 2^17 17! ≈ 4.7e19 would overflow. The index
+tables (each layer's sets and each set less each of its vertices) are
+kept once built: (n + 2) · 2^(n+2) - 8 bytes for one n, 0.22 MiB at
+n = 12, 0.47 MiB at 13, 4.5 MiB at 16, and 8.5 MiB for all n together.
 
 From 17 to MAX_RVF_N = 26 vertices a memo over the vertex sets the
 recursion reaches is used instead. There a disconnected set splits into
@@ -73,15 +72,12 @@ def _layers(n):
 
 
 def _dense_weight(g: Graph) -> int:
-    """W(V) over the table of all 2^n subsets, for n <= DENSE_N, with W(S)
-    kept at index S.
-
-    The vertices isolated in S are iso(S) = S - N(S), N(S) the union of the
-    neighbourhoods of S. Removing one of them, u, frees a coordinate, so
-    W(S) = 2|S| W(S - u), while the identity's row sum over v in S of
-    W(S - v) is then (2|S| - |iso(S)|) W(S - u), less than that; with no
-    isolated vertex W(S) is the row sum. So W(S) = max(row sum,
-    2|S| W(S - u)), u the lowest of iso(S)."""
+    """W(V) over the table of all 2^n subsets, for n <= DENSE_N, kept at
+    index S. With iso(S) = S - N(S) the vertices isolated in S, N(S) the
+    union of the neighbourhoods of S, and u the lowest of them,
+    W(S) = 2|S| W(S - u), which the row sum of W(S - v) over v in S falls
+    short of by |iso(S)| W(S - u); with no isolated vertex W(S) is the row
+    sum. So W(S) = max(row sum, 2|S| W(S - u))."""
     import numpy as np
 
     every = np.arange(1 << g.n)
@@ -125,7 +121,6 @@ def _memo_weight(g: Graph) -> int:
         f"rvf memo passed MAX_RVF_STATES = {budget} vertex sets; "
         "the graph has too many connected induced subgraphs"
     )
-    # n + 2^d, d the largest degree, is a lower bound on the memo's size
     if n + (1 << max([a.bit_count() for a in adj], default=0)) > budget:
         raise SizeError(message)
     tables = _byte_tables(adj, n)
