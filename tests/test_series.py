@@ -28,9 +28,9 @@ from polyvol.series import (
 )
 
 
-def series_reference(n, terms):
+def series_reference(n, terms, dps=WORKING_DPS):
     """The former kernel, kept as the oracle: an mpf sum, term by term."""
-    with mp.workdps(WORKING_DPS):
+    with mp.workdps(dps):
         total = mp.mpf(0)
         for k in range(terms, 0, -1):
             total += mp.mpf(1) / (4 * k + 1) ** n + mp.mpf(1) / (1 - 4 * k) ** n
@@ -93,9 +93,7 @@ def test_printed_difference_is_right_to_its_last_digit(n, terms):
 def mpf_partial_and_target(n, terms):
     """The partial sum and its limit by mpf at 120 digits."""
     with mp.workdps(120):
-        total = sum(mp.mpf(1) / (4 * k + 1) ** n + mp.mpf(1) / (1 - 4 * k) ** n
-                    for k in range(1, terms + 1))
-        return 1 + total, mp.pi**n * cycle_volume(n) / 2**n
+        return series_reference(n, terms, 120), mp.pi**n * cycle_volume(n) / 2**n
 
 
 @pytest.mark.parametrize(
